@@ -536,7 +536,7 @@ def hypergeometric_rho(lam, mu, nu) -> RatFunc:
         RatFunc(Poly([1 - lam * lam]), 4 * x ** 2)
         + RatFunc(Poly([1 - mu * mu]), 4 * xm1 ** 2)
         + RatFunc(
-            Poly([1 - nu * nu + lam * lam + mu * mu]), 4 * x * xm1
+            Poly([lam * lam + mu * mu - nu * nu - 1]), 4 * x * xm1
         )
     )
 

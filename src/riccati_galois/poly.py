@@ -3,11 +3,20 @@
 Coefficients live in a tower of quadratic extensions of the rationals
 (see scalars.py).  Everything here is exact: divmod, gcd, square-free
 decomposition and root extraction never approximate.
+
+Division works in place on one copy of the dividend's coefficients,
+for rational and tower coefficients alike.  The gcd has two paths:
+when both operands have rational coefficients it clears denominators
+and runs the primitive polynomial remainder sequence on plain integer
+lists (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6), so no
+Fraction is built until the monic result; otherwise it runs the
+Euclidean algorithm over the coefficient tower.
 """
 
 from fractions import Fraction
+from math import gcd as igcd, lcm as ilcm
 
-from .scalars import Scalar, UnsupportedFieldError, scalar_sqrt
+from .scalars import ZERO, Scalar, UnsupportedFieldError
 
 
 class Poly:
@@ -34,13 +43,6 @@ class Poly:
     @classmethod
     def x(cls):
         return cls([0, 1])
-
-    @classmethod
-    def from_roots(cls, roots):
-        p = cls([1])
-        for r in roots:
-            p = p * cls([-Scalar.coerce(r), 1])
-        return p
 
     def degree(self):
         # degree of the zero polynomial is -1 by convention
@@ -110,15 +112,26 @@ class Poly:
         other = Poly.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = Poly([])
-        r = self
         d = other.degree()
-        lc = other.leading()
-        while not r.is_zero() and r.degree() >= d:
-            t = Poly.monomial(r.leading() / lc, r.degree() - d)
-            q = q + t
-            r = r - t * other
-        return q, r
+        n = self.degree()
+        if n < d:
+            return Poly([]), self
+        b = other.coeffs
+        inv = b[d].inverse()
+        r = list(self.coeffs)
+        q = [ZERO] * (n - d + 1)
+        for k in range(n - d, -1, -1):
+            c = r[k + d]
+            if c.is_zero():
+                continue
+            t = c * inv
+            q[k] = t
+            # r[k + d] - t * b[d] is zero by construction; only the
+            # lower coefficients change
+            for j in range(d):
+                if not b[j].is_zero():
+                    r[k + j] = r[k + j] - t * b[j]
+        return Poly(q), Poly(r[:d])
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -221,13 +234,89 @@ X = Poly.x()
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
+    """Monic gcd; the zero polynomial when both operands are zero.
+
+    Operands with rational coefficients take the integer primitive
+    remainder sequence (_rational_gcd); any tower coefficient sends both
+    through the Euclidean loop (_euclid_gcd).  The two agree wherever
+    both apply.
+    """
     a, b = Poly.coerce(a), Poly.coerce(b)
+    if a.is_rational_poly() and b.is_rational_poly():
+        return _rational_gcd(a, b)
+    return _euclid_gcd(a, b)
+
+
+def _euclid_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by the Euclidean algorithm over the coefficient field."""
     while not b.is_zero():
         a, b = b, a % b
     if a.is_zero():
         return a
     return a.monic()
+
+
+def _rational_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd of polynomials with rational coefficients.
+
+    Clears denominators, then runs the primitive PRS on integer lists:
+    each step takes a pseudo-remainder and divides out its content, so
+    coefficients stay as small as the gcd allows.
+    """
+    if a.is_zero():
+        return b.monic()
+    if b.is_zero():
+        return a.monic()
+    if a.degree() == 0 or b.degree() == 0:
+        return Poly([1])
+    f, g = _integer_primitive(a), _integer_primitive(b)
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        r = _integer_prem(f, g)
+        f, g = g, _primitive(r) if r else r
+    lc = f[-1]
+    return Poly([Fraction(c, lc) for c in f])
+
+
+def _integer_primitive(p: Poly):
+    """Primitive integer multiple of p as a low-order-first int list."""
+    fracs = [c.as_fraction() for c in p.coeffs]
+    den = ilcm(*(q.denominator for q in fracs))
+    return _primitive([q.numerator * (den // q.denominator) for q in fracs])
+
+
+def _primitive(f):
+    """f divided by its content (f a nonzero int list)."""
+    c = igcd(*f)
+    if c == 1:
+        return f
+    return [x // c for x in f]
+
+
+def _integer_prem(f, g):
+    """A nonzero integer multiple of the remainder of f by g.
+
+    Each step scales f by lc(g) / h and subtracts lc(f) / h times a
+    shift of g, with h = gcd(lc(f), lc(g)); the multiple may differ from
+    the classical pseudo-remainder, which the PRS divides out anyway.
+    """
+    r = list(f)
+    dg = len(g) - 1
+    lg = g[-1]
+    while len(r) > dg:
+        lr = r[-1]
+        h = igcd(lr, lg)
+        u, v = lg // h, lr // h
+        k = len(r) - 1 - dg
+        if u != 1:
+            r = [u * c for c in r]
+        for j in range(dg):
+            r[k + j] -= v * g[j]
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
 def lcm(a: Poly, b: Poly) -> Poly:
@@ -291,13 +380,7 @@ def rational_roots(p: Poly):
         raise ValueError("zero polynomial")
     if not p.is_rational_poly():
         raise ValueError("rational root search needs rational coefficients")
-    # clear denominators to integer coefficients
-    from math import gcd as igcd, lcm as ilcm
-
-    den = 1
-    for c in p.coeffs:
-        den = ilcm(den, c.as_fraction().denominator)
-    ints = [int(c.as_fraction() * den) for c in p.coeffs]
+    ints = _integer_primitive(p)
     # strip trailing zero coefficients at the bottom (root 0)
     roots = []
     low = 0
@@ -377,11 +460,3 @@ def roots_with_multiplicity(p: Poly, allow_adjoin=True):
         )
     found.sort(key=lambda rm: rm[0].sort_key())
     return found, lead
-
-
-def poly_pow_list(base: Poly, up_to: int):
-    """[base^0, base^1, ..., base^up_to]."""
-    out = [Poly([1])]
-    for _ in range(up_to):
-        out.append(out[-1] * base)
-    return out

@@ -7,7 +7,7 @@ points and at infinity, residues, and Hermite reduction for recognising
 rational antiderivatives.
 """
 
-from .poly import Poly, extended_gcd, gcd, roots_with_multiplicity, squarefree_part
+from .poly import Poly, extended_gcd, gcd, roots_with_multiplicity
 from .scalars import Scalar
 
 
@@ -60,9 +60,16 @@ class RatFunc:
         return self.as_poly().coeff(0)
 
     def __add__(self, other):
+        # Henrici: with g = gcd(den1, den2) the sum is
+        # (num1 * den2/g + num2 * den1/g) / (den1 * den2/g), and any
+        # common factor of that numerator and denominator divides g
         other = RatFunc.coerce(other)
+        g = gcd(self.den, other.den)
+        d2g = other.den.exact_div(g)
+        num = self.num * d2g + other.num * self.den.exact_div(g)
+        h = gcd(num, g)
         return RatFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
+            num.exact_div(h), (self.den * d2g).exact_div(h), _canonical=True
         )
 
     __radd__ = __add__
@@ -326,8 +333,3 @@ def log_residues(r: RatFunc):
         return []
     dd = prop.den.derivative()
     return [(c, prop.num(c) / dd(c)) for c, _ in prop.poles()]
-
-
-def squarefree_denominator(r: RatFunc) -> bool:
-    r = RatFunc.coerce(r)
-    return squarefree_part(r.den) == r.den.monic() or r.den.degree() == 0

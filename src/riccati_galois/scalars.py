@@ -93,6 +93,10 @@ class Tower:
             other = other.base
         return False
 
+    def _rad_nested(self):
+        """The radicand as a nested value of the base tower."""
+        return _materialize(self.radicand, self.base)
+
     def chain(self):
         out = []
         tw = self
@@ -164,14 +168,6 @@ def _ninv(tower, u):
                  _nneg(b, _nmul(b, _nmul(b, u[1], u[1]), r)))
     ninv = _ninv(b, norm)
     return (_nmul(b, u[0], ninv), _nneg(b, _nmul(b, u[1], ninv)))
-
-
-def _rad_nested(tower):
-    rad = tower.radicand
-    return _materialize(rad, tower.base)
-
-
-Tower._rad_nested = lambda self: _rad_nested(self)
 
 
 def _materialize(s: "Scalar", tower: Tower):

@@ -409,6 +409,17 @@ class TestWorkedExamples:
         start, coeffs = rho.laurent_at(1, 1)
         assert start == -2
         assert coeffs[0] == Scalar.coerce((F(1, 3) ** 2 - 1) / 4)
+        # at infinity rho ~ (nu^2 - 1) / 4x^2
+        top, coeffs = rho.laurent_at_infinity(1)
+        assert top == -2
+        assert coeffs[0] == Scalar.coerce((F(1, 5) ** 2 - 1) / 4)
+
+    def test_hypergeometric_rho_octahedral_is_case3(self):
+        # (1/2, 1/3, 1/4) is in Schwarz's list: a finite primitive group
+        diffs = (F(1, 2), F(1, 3), F(1, 4))
+        res = solve_rlde(hypergeometric_rho(*diffs))
+        assert res.case == 3
+        assert kimura_test(ExponentDiffs(*diffs)).is_integrable
 
     def test_finite_galois_example_is_hypergeometric(self):
         # the reduced form has regular singular points at 0, 1 only

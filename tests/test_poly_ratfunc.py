@@ -1,11 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from riccati_galois.linalg import det, nullspace, rank, solve
 from riccati_galois.poly import (
     Poly,
+    _euclid_gcd,
     extended_gcd,
     gcd,
     rational_roots,
@@ -26,6 +27,19 @@ X = Poly.x()
 
 small_polys = st.lists(
     st.integers(min_value=-6, max_value=6), min_size=0, max_size=5
+).map(Poly)
+
+# rationals with negative values and non-integer denominators
+small_fractions = st.builds(
+    F, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=5)
+)
+fraction_polys = st.lists(small_fractions, min_size=0, max_size=5).map(Poly)
+
+SQRT2 = scalar_sqrt(2)
+surd_polys = st.lists(
+    st.builds(lambda a, b: a + b * SQRT2, small_fractions, small_fractions),
+    min_size=0,
+    max_size=5,
 ).map(Poly)
 
 
@@ -51,6 +65,23 @@ class TestPolyArithmetic:
         assert r.degree() < d.degree()
         assert q == X
         assert r == X - 5
+
+    @settings(max_examples=100, deadline=None)
+    @given(surd_polys, surd_polys)
+    def test_divmod_identity_over_sqrt2(self, a, b):
+        assume(not b.is_zero())
+        q, r = a.divmod(b)
+        assert q * b + r == a
+        assert r.degree() < b.degree()
+
+    def test_divmod_tower_example(self):
+        b = X - SQRT2
+        q, r = (X**2 - 2).divmod(b)
+        assert q == X + SQRT2
+        assert r.is_zero()
+        q, r = (X**3 + SQRT2 * X).divmod(SQRT2 * X**2 + 1)
+        assert q * (SQRT2 * X**2 + 1) + r == X**3 + SQRT2 * X
+        assert r.degree() < 2
 
     def test_exact_div_raises_on_remainder(self):
         with pytest.raises(ValueError):
@@ -93,6 +124,37 @@ class TestPolyGcd:
         a = 4 * (X - 1)
         b = 6 * (X - 1)
         assert gcd(a, b) == X - 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(fraction_polys, fraction_polys, fraction_polys)
+    def test_rational_gcd_matches_euclid(self, common, p, q):
+        # the planted factor may be zero or constant, and p, q may be zero
+        a, b = common * p, common * q
+        g = gcd(a, b)
+        assert g == _euclid_gcd(a, b)
+        if a.is_zero() and b.is_zero():
+            assert g.is_zero()
+            return
+        assert g.leading() == 1
+        assert (a % g).is_zero() and (b % g).is_zero()
+        if not common.is_zero():
+            assert (g % common).is_zero()
+
+    def test_rational_gcd_edge_cases(self):
+        assert gcd(Poly([]), Poly([])).is_zero()
+        assert gcd(Poly([]), -3 * X + 6) == X - 2
+        assert gcd(F(2, 3) * X**2, Poly([])) == X**2
+        assert gcd(Poly([F(-5, 2)]), X**2 + 1) == 1
+        assert gcd(Poly([7]), Poly([F(1, 3)])) == 1
+        a = F(-3, 4) * (X - F(1, 2)) * (X**2 + 3)
+        b = F(5, 7) * (X - F(1, 2)) * (X + 9)
+        assert gcd(a, b) == X - F(1, 2)
+
+    def test_tower_gcd(self):
+        a = (X - SQRT2) * (X + 1) * 3
+        b = (X - SQRT2) * (X - SQRT2 * 3) * SQRT2
+        assert gcd(a, b) == X - SQRT2
+        assert gcd(a, X + SQRT2) == 1
 
     def test_extended_gcd_bezout(self):
         a = (X - 1) * (X + 2)
@@ -189,6 +251,29 @@ class TestRatFunc:
         assert one_over * X == 1
         assert (one_over - one_over).is_zero()
         assert 1 / one_over == RatFunc(X)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        fraction_polys, fraction_polys, fraction_polys, fraction_polys, fraction_polys
+    )
+    def test_sum_is_canonical(self, common, n1, d1, n2, d2):
+        # shared denominator factors exercise the Henrici cancellation
+        assume(not d1.is_zero() and not d2.is_zero() and not common.is_zero())
+        r1, r2 = RatFunc(n1, common * d1), RatFunc(n2, common * d2)
+        s = r1 + r2
+        ref = RatFunc(n1 * d2 + n2 * d1, common * d1 * d2)
+        assert s.num.coeffs == ref.num.coeffs
+        assert s.den.coeffs == ref.den.coeffs
+
+    def test_sum_cancels_against_shared_factor(self):
+        # 1/(x(x-1)) + 1/(x(x+1)) = 2x/(x(x^2-1)): the sum's numerator
+        # shares x with gcd of the denominators
+        s = RatFunc(1, X * (X - 1)) + RatFunc(1, X * (X + 1))
+        assert s.num.coeffs == Poly([2]).coeffs
+        assert s.den.coeffs == (X**2 - 1).coeffs
+        r = RatFunc(X + 3, (X - 1) ** 2 * (X + 2))
+        z = r + (-r)
+        assert z.is_zero() and z.den.coeffs == Poly([1]).coeffs
 
     def test_derivative(self):
         r = RatFunc(1, X)
