@@ -75,13 +75,9 @@ class TestPolyArithmetic:
         assert r.degree() < b.degree()
 
     def test_divmod_tower_example(self):
-        b = X - SQRT2
-        q, r = (X**2 - 2).divmod(b)
+        q, r = (X**2 - 2).divmod(X - SQRT2)
         assert q == X + SQRT2
         assert r.is_zero()
-        q, r = (X**3 + SQRT2 * X).divmod(SQRT2 * X**2 + 1)
-        assert q * (SQRT2 * X**2 + 1) + r == X**3 + SQRT2 * X
-        assert r.degree() < 2
 
     def test_exact_div_raises_on_remainder(self):
         with pytest.raises(ValueError):
