@@ -51,7 +51,12 @@ from .odeforms import (
 )
 from .ratfunc import RatFunc
 from .reports import Report, VerificationError, render_text, to_json
-from .scalars import Scalar, UnsupportedFieldError, set_max_tower_depth
+from .scalars import (
+    Scalar,
+    UnsupportedFieldError,
+    get_max_tower_depth,
+    set_max_tower_depth,
+)
 from .specialfn import (
     BiconfluentParams,
     ExponentDiffs,
@@ -365,6 +370,13 @@ def cmd_apply(args, params) -> Report:
 # -- driver ----------------------------------------------------------------
 
 
+def _tower_depth(text):
+    depth = int(text)
+    if depth < 0:
+        raise argparse.ArgumentTypeError("tower depth must be non-negative")
+    return depth
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="riccati-galois")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -374,7 +386,7 @@ def build_parser():
         p.add_argument("--json", action="store_true")
         p.add_argument("--text", action="store_true")
         p.add_argument("--no-timing", action="store_true")
-        p.add_argument("--tower-depth", type=int, default=2)
+        p.add_argument("--tower-depth", type=_tower_depth, default=2)
 
     solve = sub.add_parser("solve")
     solve.add_argument("--rho")
@@ -431,7 +443,16 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the depth is a process global; put it back for later callers
+    previous = get_max_tower_depth()
     set_max_tower_depth(args.tower_depth)
+    try:
+        return _run(args)
+    finally:
+        set_max_tower_depth(previous)
+
+
+def _run(args) -> int:
     started = time.perf_counter()
     try:
         params = _parse_params(args.param)

@@ -4,19 +4,30 @@ Coefficients live in a tower of quadratic extensions of the rationals
 (see scalars.py).  Everything here is exact: divmod, gcd, square-free
 decomposition and root extraction never approximate.
 
-Division works in place on one copy of the dividend's coefficients,
-for rational and tower coefficients alike.  The gcd has two paths:
-when both operands have rational coefficients it clears denominators
-and runs the primitive polynomial remainder sequence on plain integer
-lists (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6), so no
-Fraction is built until the monic result; otherwise it runs the
-Euclidean algorithm over the coefficient tower.
+Rational kernel.  When every coefficient of the operands is rational
+(its tower is QQ, see _rational_coeffs), these operations leave the
+Scalar path for plain integers and Fractions:
+
+- multiplication clears denominators, convolves the integer lists and
+  builds one Fraction per output coefficient;
+- divmod (and through it exact_div) runs its in-place loop on
+  Fractions;
+- gcd runs the primitive polynomial remainder sequence on integer lists
+  (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6);
+- _rational_canonical, which RatFunc uses to cancel a numerator against
+  its denominator, takes contents, the primitive gcd and exact integer
+  quotients in one pass.
+
+Results are wrapped into Scalars once, by Poly._from_fractions.  Any
+tower coefficient sends the operation through the Scalar loops
+(_scalar_mul, _scalar_divmod, _euclid_gcd), which are also the
+reference the tests hold the kernel to.
 """
 
 from fractions import Fraction
 from math import gcd as igcd, lcm as ilcm
 
-from .scalars import ZERO, Scalar, UnsupportedFieldError
+from .scalars import QQ, ZERO, Scalar, UnsupportedFieldError
 
 
 class Poly:
@@ -29,6 +40,15 @@ class Poly:
         while cs and cs[-1].is_zero():
             cs.pop()
         self.coeffs = cs
+
+    @classmethod
+    def _from_fractions(cls, fracs):
+        """Poly with the given Fraction coefficients, each wrapped once."""
+        while fracs and not fracs[-1]:
+            fracs.pop()
+        p = object.__new__(cls)
+        p.coeffs = [Scalar(QQ, q) for q in fracs]
+        return p
 
     @classmethod
     def coerce(cls, x):
@@ -81,6 +101,20 @@ class Poly:
         other = Poly.coerce(other)
         if self.is_zero() or other.is_zero():
             return Poly([])
+        fa, fb = _rational_coeffs(self), _rational_coeffs(other)
+        if fa is not None and fb is not None:
+            # Polys are immutable, so a unit factor may return the other
+            if fa == [1]:
+                return other
+            if fb == [1]:
+                return self
+            return _rational_mul(fa, fb)
+        return self._scalar_mul(other)
+
+    __rmul__ = __mul__
+
+    def _scalar_mul(self, other):
+        """Product by the Scalar loop; both operands nonzero."""
         out = [Scalar.coerce(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
@@ -88,8 +122,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return Poly(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
@@ -116,6 +148,16 @@ class Poly:
         n = self.degree()
         if n < d:
             return Poly([]), self
+        fa, fb = _rational_coeffs(self), _rational_coeffs(other)
+        if fa is not None and fb is not None:
+            q, r = _rational_divmod(fa, fb)
+            return Poly._from_fractions(q), Poly._from_fractions(r)
+        return self._scalar_divmod(other)
+
+    def _scalar_divmod(self, other):
+        """divmod by the Scalar loop; deg self >= deg other >= 0."""
+        d = other.degree()
+        n = self.degree()
         b = other.coeffs
         inv = b[d].inverse()
         r = list(self.coeffs)
@@ -185,7 +227,7 @@ class Poly:
         return self.compose(Poly([a, 1]))
 
     def is_rational_poly(self) -> bool:
-        return all(c.is_rational() for c in self.coeffs)
+        return _rational_coeffs(self) is not None
 
     def sort_key(self):
         return tuple(c.sort_key() for c in self.coeffs)
@@ -242,8 +284,9 @@ def gcd(a: Poly, b: Poly) -> Poly:
     both apply.
     """
     a, b = Poly.coerce(a), Poly.coerce(b)
-    if a.is_rational_poly() and b.is_rational_poly():
-        return _rational_gcd(a, b)
+    fa, fb = _rational_coeffs(a), _rational_coeffs(b)
+    if fa is not None and fb is not None:
+        return _rational_gcd(fa, fb)
     return _euclid_gcd(a, b)
 
 
@@ -256,42 +299,109 @@ def _euclid_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def _rational_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd of polynomials with rational coefficients.
+# -- rational kernel --------------------------------------------------------
+# Coefficient lists here are low-order first: Fractions for rational
+# polynomials, ints for their cleared or primitive multiples.
 
-    Clears denominators, then runs the primitive PRS on integer lists:
-    each step takes a pseudo-remainder and divides out its content, so
-    coefficients stay as small as the gcd allows.
+
+def _rational_coeffs(p: Poly):
+    """p's coefficients as Fractions, or None if any lies in an extension."""
+    cs = p.coeffs
+    for c in cs:
+        if c.tower is not QQ:
+            return None
+    return [c.val for c in cs]
+
+
+def _cleared(fracs):
+    """(ints, den) with fracs == ints / den, den the lcm of denominators."""
+    den = ilcm(*(q.denominator for q in fracs))
+    if den == 1:
+        return [q.numerator for q in fracs], 1
+    return [q.numerator * (den // q.denominator) for q in fracs], den
+
+
+def _integer_primitive(fracs):
+    """(content, prim) with fracs == content * prim for a nonzero list.
+
+    content is a positive Fraction and prim an int list with content 1.
     """
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    if a.degree() == 0 or b.degree() == 0:
-        return Poly([1])
-    f, g = _integer_primitive(a), _integer_primitive(b)
+    ints, den = _cleared(fracs)
+    c = igcd(*ints)
+    return Fraction(c, den), _primitive(ints, c)
+
+
+def _primitive(f, c=None):
+    """f divided by its content c (f a nonzero int list)."""
+    if c is None:
+        c = igcd(*f)
+    if c == 1:
+        return f
+    return [x // c for x in f]
+
+
+def _rational_mul(fa, fb):
+    """Product of two nonzero rational coefficient lists as a Poly."""
+    a, da = _cleared(fa)
+    b, db = _cleared(fb)
+    nb = len(b)
+    out = [0] * (len(a) + nb - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            out[i:i + nb] = [o + ai * bj for o, bj in zip(out[i:i + nb], b)]
+    d = da * db
+    if d == 1:
+        return Poly._from_fractions([Fraction(c) for c in out])
+    return Poly._from_fractions([Fraction(c, d) for c in out])
+
+
+def _rational_divmod(fa, fb):
+    """(q, r) Fraction lists with fa == q*fb + r, deg fa >= deg fb >= 0."""
+    d = len(fb) - 1
+    n = len(fa) - 1
+    inv = 1 / fb[d]
+    r = list(fa)
+    q = [Fraction(0)] * (n - d + 1)
+    for k in range(n - d, -1, -1):
+        c = r[k + d]
+        if not c:
+            continue
+        t = c * inv
+        q[k] = t
+        # r[k + d] - t * fb[d] is zero by construction; only the lower
+        # coefficients change
+        for j in range(d):
+            if fb[j]:
+                r[k + j] -= t * fb[j]
+    del r[d:]
+    return q, r
+
+
+def _rational_gcd(fa, fb):
+    """Monic gcd of two rational coefficient lists as a Poly."""
+    if not fa:
+        fa, fb = fb, fa
+    if not fb:
+        return Poly._from_fractions([c / fa[-1] for c in fa])
+    h = _prs_gcd(_integer_primitive(fa)[1], _integer_primitive(fb)[1])
+    return Poly._from_fractions([Fraction(c, h[-1]) for c in h])
+
+
+def _prs_gcd(f, g):
+    """A primitive gcd of two primitive int lists (its sign is arbitrary).
+
+    Runs the primitive PRS: each step takes a pseudo-remainder and
+    divides out its content, so coefficients stay as small as the gcd
+    allows.
+    """
+    if len(f) == 1 or len(g) == 1:
+        return [1]
     if len(f) < len(g):
         f, g = g, f
     while g:
         r = _integer_prem(f, g)
         f, g = g, _primitive(r) if r else r
-    lc = f[-1]
-    return Poly([Fraction(c, lc) for c in f])
-
-
-def _integer_primitive(p: Poly):
-    """Primitive integer multiple of p as a low-order-first int list."""
-    fracs = [c.as_fraction() for c in p.coeffs]
-    den = ilcm(*(q.denominator for q in fracs))
-    return _primitive([q.numerator * (den // q.denominator) for q in fracs])
-
-
-def _primitive(f):
-    """f divided by its content (f a nonzero int list)."""
-    c = igcd(*f)
-    if c == 1:
-        return f
-    return [x // c for x in f]
+    return f
 
 
 def _integer_prem(f, g):
@@ -317,6 +427,53 @@ def _integer_prem(f, g):
         while r and not r[-1]:
             r.pop()
     return r
+
+
+def _integer_exact_div(f, g):
+    """f / g for int lists when g divides f in Z[x].
+
+    Every step must divide evenly and the remainder must vanish;
+    otherwise raises ValueError, as Poly.exact_div does.
+    """
+    dg = len(g) - 1
+    lg = g[-1]
+    r = list(f)
+    q = [0] * max(len(f) - dg, 0)
+    for k in range(len(q) - 1, -1, -1):
+        t, m = divmod(r[k + dg], lg)
+        if m:
+            raise ValueError("division is not exact")
+        q[k] = t
+        if t:
+            for j in range(dg):
+                r[k + j] -= t * g[j]
+    if any(r[:dg]):
+        raise ValueError("division is not exact")
+    return q
+
+
+def _rational_canonical(fn, fd):
+    """Canonical num/den of the rational function fn/fd as two Polys.
+
+    fn and fd are rational coefficient lists, fd nonzero.  The result is
+    coprime with a monic denominator: the contents come off first, the
+    primitive parts are divided exactly by their primitive gcd, and the
+    ratio of contents over lc(den) scales the numerator.
+    """
+    if not fn:
+        return Poly([]), Poly._from_fractions([Fraction(1)])
+    cn, f = _integer_primitive(fn)
+    cd, g = _integer_primitive(fd)
+    h = _prs_gcd(f, g)
+    if len(h) > 1:
+        f = _integer_exact_div(f, h)
+        g = _integer_exact_div(g, h)
+    lg = g[-1]
+    s = cn / (cd * lg)
+    sn, sd = s.numerator, s.denominator
+    num = Poly._from_fractions([Fraction(sn * c, sd) for c in f])
+    den = Poly._from_fractions([Fraction(c, lg) for c in g])
+    return num, den
 
 
 def lcm(a: Poly, b: Poly) -> Poly:
@@ -380,7 +537,7 @@ def rational_roots(p: Poly):
         raise ValueError("zero polynomial")
     if not p.is_rational_poly():
         raise ValueError("rational root search needs rational coefficients")
-    ints = _integer_primitive(p)
+    ints = _integer_primitive(_rational_coeffs(p))[1]
     # strip trailing zero coefficients at the bottom (root 0)
     roots = []
     low = 0

@@ -1,13 +1,29 @@
 """Rational functions in one variable over Scalar coefficients.
 
 Canonical form everywhere: numerator and denominator coprime, denominator
-monic.  On top of the arithmetic this module provides the local data the
+monic.  When every coefficient of numerator and denominator is rational,
+the constructor reaches that form through poly's rational kernel
+(_rational_canonical): contents, primitive gcd and exact quotients on
+integer lists, one Scalar per result coefficient.  Otherwise it runs
+_canonical_form (gcd, exact_div and scale on Scalars), the path for
+tower coefficients and the reference the tests hold the kernel to.
+Arithmetic on canonical operands reaches the kernel through Poly's
+multiply, divmod and gcd.
+
+On top of the arithmetic this module provides the local data the
 decision algorithm feeds on: pole lists, Laurent expansions at finite
 points and at infinity, residues, and Hermite reduction for recognising
 rational antiderivatives.
 """
 
-from .poly import Poly, extended_gcd, gcd, roots_with_multiplicity
+from .poly import (
+    Poly,
+    _rational_canonical,
+    _rational_coeffs,
+    extended_gcd,
+    gcd,
+    roots_with_multiplicity,
+)
 from .scalars import Scalar
 
 
@@ -20,15 +36,11 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if not _canonical:
-            g = gcd(num, den)
-            if g.degree() > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lc = den.leading()
-            if lc != 1:
-                inv = lc.inverse()
-                num = num.scale(inv)
-                den = den.scale(inv)
+            fn, fd = _rational_coeffs(num), _rational_coeffs(den)
+            if fn is not None and fd is not None:
+                num, den = _rational_canonical(fn, fd)
+            else:
+                num, den = _canonical_form(num, den)
         self.num = num
         self.den = den
 
@@ -65,6 +77,10 @@ class RatFunc:
         # common factor of that numerator and denominator divides g
         other = RatFunc.coerce(other)
         g = gcd(self.den, other.den)
+        if g.degree() == 0:
+            # coprime denominators: g = 1 and the sum is already canonical
+            num = self.num * other.den + other.num * self.den
+            return RatFunc(num, self.den * other.den, _canonical=True)
         d2g = other.den.exact_div(g)
         num = self.num * d2g + other.num * self.den.exact_div(g)
         h = gcd(num, g)
@@ -221,6 +237,23 @@ class RatFunc:
 
     def __repr__(self):
         return "RatFunc(%s)" % self
+
+
+def _canonical_form(num: Poly, den: Poly):
+    """Coprime num/den with a monic den via gcd, exact_div and scale.
+
+    The constructor's path for tower coefficients; den is nonzero.
+    """
+    g = gcd(num, den)
+    if g.degree() > 0:
+        num = num.exact_div(g)
+        den = den.exact_div(g)
+    lc = den.leading()
+    if lc != 1:
+        inv = lc.inverse()
+        num = num.scale(inv)
+        den = den.scale(inv)
+    return num, den
 
 
 def _needs_parens(s: str) -> bool:

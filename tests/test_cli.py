@@ -1,7 +1,9 @@
 import io
 import json
 
-from riccati_galois import cli
+import pytest
+
+from riccati_galois import cli, scalars
 from riccati_galois.reports import SCHEMA, Report, render_text, to_json
 
 
@@ -114,6 +116,34 @@ class TestExitCodes:
         )
         assert code == 3
         assert "unsupported" in err
+
+    def test_negative_tower_depth_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--rho", "x^2-1", "--tower-depth", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tower depth must be non-negative" in captured.err
+
+    def test_tower_depth_is_restored(self, capsys, monkeypatch):
+        monkeypatch.setattr(scalars, "_max_tower_depth", 2)
+        code, _, _ = run(
+            capsys, "solve", "--rho", "x^2-1", "--tower-depth", "0", "--no-timing"
+        )
+        assert code == 0
+        assert scalars.get_max_tower_depth() == 2
+        # also after a run that fails on the depth
+        code, _, _ = run(
+            capsys,
+            "solve",
+            "--rho",
+            "1/(x^2-2)",
+            "--tower-depth",
+            "0",
+            "--no-timing",
+        )
+        assert code == 3
+        assert scalars.get_max_tower_depth() == 2
 
     def test_unsupported_degenerate(self, capsys):
         code, _, err = run(

@@ -1,12 +1,15 @@
+import contextlib
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from riccati_galois import poly as poly_module
 from riccati_galois.linalg import det, nullspace, rank, solve
 from riccati_galois.poly import (
     Poly,
     _euclid_gcd,
+    _integer_exact_div,
     extended_gcd,
     gcd,
     rational_roots,
@@ -16,11 +19,17 @@ from riccati_galois.poly import (
 )
 from riccati_galois.ratfunc import (
     RatFunc,
+    _canonical_form,
     hermite_reduce,
     log_residues,
     rational_antiderivative,
 )
-from riccati_galois.scalars import Scalar, UnsupportedFieldError, scalar_sqrt
+from riccati_galois.scalars import (
+    QQ,
+    Scalar,
+    UnsupportedFieldError,
+    scalar_sqrt,
+)
 
 
 X = Poly.x()
@@ -366,3 +375,159 @@ class TestHermite:
         got = log_residues(r)
         assert len(got) == 1
         assert got[0][0] == 2 and got[0][1] == 3
+
+
+def keys(p):
+    """Structural form of a Poly: equal lists mean identical coefficients."""
+    return [c.key() for c in p.coeffs]
+
+
+@contextlib.contextmanager
+def scalar_route():
+    """Every Poly operation takes the Scalar loops, rational or not."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_module, "_rational_coeffs", lambda p: None)
+        yield
+
+
+class TestRationalKernel:
+    """The integer kernel against the Scalar loops, on rational operands.
+
+    fraction_polys draws zero and constant polynomials, negative leading
+    coefficients and non-integer denominators; a planted common factor
+    makes the divisions exact and the cancellations non-trivial.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(fraction_polys, fraction_polys, fraction_polys)
+    def test_mul_matches_scalar_loop(self, common, p, q):
+        a, b = common * p, q
+        got = a * b
+        assert all(c.tower is QQ for c in got.coeffs)
+        with scalar_route():
+            ref = a * b
+        assert keys(got) == keys(ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fraction_polys, fraction_polys, fraction_polys)
+    def test_divmod_matches_scalar_loop(self, common, p, r):
+        assume(not common.is_zero())
+        a = common * p + r
+        q, rem = a.divmod(common)
+        assert q * common + rem == a
+        assert rem.degree() < common.degree()
+        with scalar_route():
+            ref_q, ref_rem = a.divmod(common)
+        assert keys(q) == keys(ref_q)
+        assert keys(rem) == keys(ref_rem)
+        # the planted factor divides exactly
+        assert keys((common * p).exact_div(common)) == keys(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fraction_polys, fraction_polys, fraction_polys)
+    def test_canonical_form_matches_scalar_route(self, common, n, d):
+        assume(not common.is_zero() and not d.is_zero())
+        num, den = common * n, common * d
+        r = RatFunc(num, den)
+        assert r.den.leading() == 1
+        assert gcd(r.num, r.den).degree() == 0
+        if n.is_zero():
+            assert r.num.is_zero() and keys(r.den) == keys(Poly([1]))
+        with scalar_route():
+            ref_num, ref_den = _canonical_form(num, den)
+        assert keys(r.num) == keys(ref_num)
+        assert keys(r.den) == keys(ref_den)
+
+    def test_canonical_form_examples(self):
+        # negative leading coefficients and fractional contents on both
+        # sides, a shared factor, and a constant denominator
+        r = RatFunc(F(-3, 4) * (X - 2) * (X + F(1, 3)), F(-5, 6) * (X - 2))
+        assert keys(r.num) == keys(F(9, 10) * X + F(3, 10))
+        assert keys(r.den) == keys(Poly([1]))
+        r = RatFunc(Poly([F(2, 7)]), -3 * X**2 + F(1, 2))
+        assert keys(r.num) == keys(Poly([F(-2, 21)]))
+        assert keys(r.den) == keys(X**2 - F(1, 6))
+
+    def test_integer_exact_div_checks_every_step(self):
+        assert _integer_exact_div([-2, 1, 1], [-1, 1]) == [2, 1]
+        with pytest.raises(ValueError, match="division is not exact"):
+            # x^2 + 1 = (x + 1)(x - 1) + 2: a remainder is left
+            _integer_exact_div([1, 0, 1], [-1, 1])
+        with pytest.raises(ValueError, match="division is not exact"):
+            # 3x + 1 over 2x + 1: floor division would leave remainder 0
+            # after quotient 1, so only the step check sees 3 / 2
+            _integer_exact_div([1, 3], [1, 2])
+        with pytest.raises(ValueError, match="division is not exact"):
+            _integer_exact_div([5], [1, 1])
+
+
+ARITHMETIC_DUNDERS = (
+    "__add__",
+    "__radd__",
+    "__sub__",
+    "__rsub__",
+    "__mul__",
+    "__rmul__",
+    "__truediv__",
+    "__rtruediv__",
+    "__neg__",
+    "__pow__",
+    "__eq__",
+    "__ne__",
+    "inverse",
+)
+
+
+class TestKernelDispatch:
+    def test_rational_operands_make_no_scalar_arithmetic(self, monkeypatch):
+        a = Poly([F(1, 2), -3, F(2, 3)])
+        b = Poly([F(-5, 4), 0, 7, -1])
+        common = Poly([F(3, 2), 1])
+        num, den = a * common, b * common
+        calls = []
+
+        def counting(name):
+            inner = getattr(Scalar, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return inner(*args)
+
+            return wrapper
+
+        for name in ARITHMETIC_DUNDERS:
+            monkeypatch.setattr(Scalar, name, counting(name))
+        a * b
+        b.divmod(a)
+        num.exact_div(common)
+        RatFunc(num, den)
+        RatFunc(Poly([]), den)
+        assert calls == []
+        # the counter sees the Scalar loop
+        a._scalar_mul(b)
+        assert calls
+
+    def test_tower_operands_take_the_scalar_loops(self, monkeypatch):
+        rational = X**2 - 3 * X + F(1, 2)
+        surd = X - SQRT2
+        num1, den1 = 3 * (X - SQRT2) * (X + 1), (X - SQRT2) * (2 * X - 1)
+        num2, den2 = X + SQRT2, 2 * X**2 - 1
+        # the canonical forms, written out by hand
+        want1 = keys(F(3, 2) * X + F(3, 2)), keys(X - F(1, 2))
+        want2 = keys((X + SQRT2) * F(1, 2)), keys(X**2 - F(1, 2))
+
+        def refuse(*args):
+            raise AssertionError("rational kernel entered with a tower operand")
+
+        for name in ("_rational_mul", "_rational_divmod", "_rational_canonical"):
+            monkeypatch.setattr(poly_module, name, refuse)
+        monkeypatch.setattr("riccati_galois.ratfunc._rational_canonical", refuse)
+        assert keys(rational * surd) == keys(rational._scalar_mul(surd))
+        assert keys(surd * rational) == keys(surd._scalar_mul(rational))
+        q, r = (rational * surd).divmod(surd)
+        assert keys(q) == keys(rational) and r.is_zero()
+        q, r = rational.divmod(surd)
+        assert q * surd + r == rational
+        r1, r2 = RatFunc(num1, den1), RatFunc(num2, den2)
+        assert (keys(r1.num), keys(r1.den)) == want1
+        assert (keys(r2.num), keys(r2.den)) == want2
