@@ -49,6 +49,7 @@ from .odeforms import (
     transform_S,
     transform_T,
 )
+from .poly import InexactDivision
 from .ratfunc import RatFunc
 from .reports import Report, VerificationError, render_text, to_json
 from .scalars import (
@@ -73,6 +74,7 @@ EXIT_OK = 0
 EXIT_SYNTAX = 2
 EXIT_UNSUPPORTED = 3
 EXIT_VERIFICATION = 4
+EXIT_INTERNAL = 4
 
 
 def _text_arg(value):
@@ -460,6 +462,10 @@ def _run(args) -> int:
     except ParseError as exc:
         print("syntax error: %s" % exc, file=sys.stderr)
         return EXIT_SYNTAX
+    except InexactDivision as exc:
+        # a ValueError, but a broken kernel invariant, not a bad input
+        print("internal fault: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
     except (
         UnsupportedFieldError,
         Unsupported,

@@ -4,24 +4,35 @@ Coefficients live in a tower of quadratic extensions of the rationals
 (see scalars.py).  Everything here is exact: divmod, gcd, square-free
 decomposition and root extraction never approximate.
 
-Rational kernel.  When every coefficient of the operands is rational
-(its tower is QQ, see _rational_coeffs), these operations leave the
-Scalar path for plain integers and Fractions:
+Representation.  A Poly with rational coefficients keeps its integer
+form (ints, den): coefficient k is ints[k] / den, with den >= 1,
+gcd(den, *ints) == 1 and no trailing zero; the zero polynomial is
+([], 1).  Because the form is canonical, equality is a structural
+comparison.  The Scalar coefficients are built, once, only when
+something reads .coeffs.  A Poly built from Scalars computes its
+integer form on demand (_rational_coeffs); with any coefficient in an
+extension the form is None.
 
-- multiplication clears denominators, convolves the integer lists and
-  builds one Fraction per output coefficient;
-- divmod (and through it exact_div) runs its in-place loop on
-  Fractions;
-- gcd runs the primitive polynomial remainder sequence on integer lists
-  (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6);
+Rational kernel.  When every operand has an integer form, these
+operations work on it and never build a Fraction per coefficient or a
+Scalar (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6):
+
+- +, -, unary -, scale, derivative, monic and compose work on the
+  integer lists over a common denominator;
+- * convolves the integer lists and multiplies the denominators;
+- divmod pseudo-divides in Z[x], scaling only by what the leading
+  coefficients do not share;
+- exact_div divides by the primitive part of the divisor in Z[x]
+  (Gauss's lemma) and folds its content into the denominator;
+- gcd runs the primitive polynomial remainder sequence;
 - _rational_canonical, which RatFunc uses to cancel a numerator against
   its denominator, takes contents, the primitive gcd and exact integer
   quotients in one pass.
 
-Results are wrapped into Scalars once, by Poly._from_fractions.  Any
-tower coefficient sends the operation through the Scalar loops
-(_scalar_mul, _scalar_divmod, _euclid_gcd), which are also the
-reference the tests hold the kernel to.
+Results are reduced to the canonical form by Poly._from_zz.  Any tower
+coefficient sends the operation through the Scalar loops (_scalar_mul,
+_scalar_divmod, _euclid_gcd and the list comprehensions in the
+methods), which are also the reference the tests hold the kernel to.
 """
 
 from fractions import Fraction
@@ -30,25 +41,79 @@ from math import gcd as igcd, lcm as ilcm
 from .scalars import QQ, ZERO, Scalar, UnsupportedFieldError
 
 
-class Poly:
-    """Dense univariate polynomial, low-order coefficient first."""
+def _integer_form(qs):
+    """(ints, den) of ints and Fractions with no trailing zero."""
+    # each Fraction is in lowest terms, so ints and den share no factor
+    den = ilcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den
 
-    __slots__ = ("coeffs",)
+
+class InexactDivision(ValueError):
+    """exact_div met a remainder: a broken invariant, not a bad input."""
+
+
+class Poly:
+    """Dense univariate polynomial, low-order coefficient first.
+
+    Immutable: _coeffs is the Scalar list or None until read, _zz the
+    integer form, None for tower coefficients or False until computed.
+    """
+
+    __slots__ = ("_coeffs", "_zz")
 
     def __init__(self, coeffs):
-        cs = [Scalar.coerce(c) for c in coeffs]
+        cs = list(coeffs)
+        if all(isinstance(c, (int, Fraction)) for c in cs):
+            while cs and not cs[-1]:
+                cs.pop()
+            self._coeffs, self._zz = None, _integer_form(cs)
+            return
+        cs = [Scalar.coerce(c) for c in cs]
         while cs and cs[-1].is_zero():
             cs.pop()
-        self.coeffs = cs
+        self._coeffs = cs
+        self._zz = False
 
     @classmethod
-    def _from_fractions(cls, fracs):
-        """Poly with the given Fraction coefficients, each wrapped once."""
-        while fracs and not fracs[-1]:
-            fracs.pop()
+    def _from_zz(cls, ints, den):
+        """Poly with coefficients ints / den, den >= 1.
+
+        ints must be a list the caller does not keep; trailing zeros are
+        popped from it and the common factor of den and ints comes off.
+        """
+        while ints and not ints[-1]:
+            ints.pop()
+        if not ints:
+            den = 1
+        elif den != 1:
+            g = igcd(den, *ints)
+            if g != 1:
+                ints = [c // g for c in ints]
+                den //= g
         p = object.__new__(cls)
-        p.coeffs = [Scalar(QQ, q) for q in fracs]
+        p._coeffs = None
+        p._zz = (ints, den)
         return p
+
+    @property
+    def coeffs(self):
+        """The Scalar coefficients, low order first; do not mutate."""
+        cs = self._coeffs
+        if cs is None:
+            ints, den = self._zz
+            cs = self._coeffs = [Scalar(QQ, Fraction(c, den)) for c in ints]
+        return cs
+
+    def _integer_form(self):
+        zz = self._zz
+        if zz is False:
+            cs = self._coeffs
+            if any(c.tower is not QQ for c in cs):
+                zz = None
+            else:
+                zz = _integer_form([c.val for c in cs])
+            self._zz = zz
+        return zz
 
     @classmethod
     def coerce(cls, x):
@@ -66,10 +131,13 @@ class Poly:
 
     def degree(self):
         # degree of the zero polynomial is -1 by convention
-        return len(self.coeffs) - 1
+        cs = self._coeffs
+        if cs is None:
+            cs = self._zz[0]
+        return len(cs) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return self.degree() < 0
 
     def leading(self) -> Scalar:
         if self.is_zero():
@@ -77,25 +145,37 @@ class Poly:
         return self.coeffs[-1]
 
     def coeff(self, k) -> Scalar:
-        if 0 <= k < len(self.coeffs):
+        if 0 <= k <= self.degree():
             return self.coeffs[k]
-        return Scalar.coerce(0)
+        return ZERO
 
     def __add__(self, other):
-        other = Poly.coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(k) + other.coeff(k) for k in range(n)])
+        return self._add(Poly.coerce(other), 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
     def __sub__(self, other):
-        return self + (-Poly.coerce(other))
+        return self._add(Poly.coerce(other), -1)
 
     def __rsub__(self, other):
-        return Poly.coerce(other) + (-self)
+        return Poly.coerce(other)._add(self, -1)
+
+    def _add(self, other, sign):
+        """self + sign * other, sign 1 or -1."""
+        fa, fb = _rational_coeffs(self), _rational_coeffs(other)
+        if fa is not None and fb is not None:
+            return _rational_add(fa, fb, sign)
+        n = max(self.degree(), other.degree()) + 1
+        pairs = [(self.coeff(k), other.coeff(k)) for k in range(n)]
+        if sign < 0:
+            return Poly([a - b for a, b in pairs])
+        return Poly([a + b for a, b in pairs])
+
+    def __neg__(self):
+        zz = _rational_coeffs(self)
+        if zz is not None:
+            return Poly._from_zz([-c for c in zz[0]], zz[1])
+        return Poly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         other = Poly.coerce(other)
@@ -104,9 +184,9 @@ class Poly:
         fa, fb = _rational_coeffs(self), _rational_coeffs(other)
         if fa is not None and fb is not None:
             # Polys are immutable, so a unit factor may return the other
-            if fa == [1]:
+            if fa == _UNIT:
                 return other
-            if fb == [1]:
+            if fb == _UNIT:
                 return self
             return _rational_mul(fa, fb)
         return self._scalar_mul(other)
@@ -115,7 +195,7 @@ class Poly:
 
     def _scalar_mul(self, other):
         """Product by the Scalar loop; both operands nonzero."""
-        out = [Scalar.coerce(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [ZERO] * (self.degree() + other.degree() + 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
@@ -126,7 +206,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly([1])
+        result = Poly.coerce(1)
         base = self
         while n:
             if n & 1:
@@ -137,6 +217,12 @@ class Poly:
 
     def scale(self, s) -> "Poly":
         s = Scalar.coerce(s)
+        zz = _rational_coeffs(self)
+        if zz is not None and s.tower is QQ:
+            q = s.val
+            return Poly._from_zz(
+                [c * q.numerator for c in zz[0]], zz[1] * q.denominator
+            )
         return Poly([c * s for c in self.coeffs])
 
     def divmod(self, other):
@@ -144,14 +230,11 @@ class Poly:
         other = Poly.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        d = other.degree()
-        n = self.degree()
-        if n < d:
+        if self.degree() < other.degree():
             return Poly([]), self
         fa, fb = _rational_coeffs(self), _rational_coeffs(other)
         if fa is not None and fb is not None:
-            q, r = _rational_divmod(fa, fb)
-            return Poly._from_fractions(q), Poly._from_fractions(r)
+            return _rational_divmod(fa, fb)
         return self._scalar_divmod(other)
 
     def _scalar_divmod(self, other):
@@ -182,9 +265,16 @@ class Poly:
         return self.divmod(other)[1]
 
     def exact_div(self, other) -> "Poly":
+        """self / other; raises InexactDivision if a remainder is left."""
+        other = Poly.coerce(other)
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        fa, fb = _rational_coeffs(self), _rational_coeffs(other)
+        if fa is not None and fb is not None:
+            return self if fb == _UNIT else _rational_exact_div(fa, fb)
         q, r = self.divmod(other)
         if not r.is_zero():
-            raise ValueError("division is not exact")
+            raise InexactDivision("division is not exact")
         return q
 
     def __eq__(self, other):
@@ -192,6 +282,9 @@ class Poly:
             other = Poly.coerce(other)
         if not isinstance(other, Poly):
             return NotImplemented
+        fa, fb = _rational_coeffs(self), _rational_coeffs(other)
+        if fa is not None and fb is not None:
+            return fa == fb
         return (self - other).is_zero()
 
     def __ne__(self, other):
@@ -199,28 +292,43 @@ class Poly:
         return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
+        # not through the dispatch hook: a Poly hashes alike on both routes
+        zz = self._integer_form()
+        if zz is not None:
+            return hash((tuple(zz[0]), zz[1]))
         return hash(tuple(c.key() for c in self.coeffs))
 
     def __call__(self, point):
         point = Scalar.coerce(point)
-        acc = Scalar.coerce(0)
+        acc = ZERO
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
 
     def derivative(self) -> "Poly":
+        zz = _rational_coeffs(self)
+        if zz is not None:
+            ints = zz[0]
+            return Poly._from_zz(
+                [k * ints[k] for k in range(1, len(ints))], zz[1]
+            )
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
+        zz = _rational_coeffs(self)
+        if zz is not None:
+            return _monic(zz[0])
         return self.scale(self.leading().inverse())
 
     def compose(self, inner: "Poly") -> "Poly":
+        zz = _rational_coeffs(self)
+        cs, den = (self.coeffs, 1) if zz is None else zz
         acc = Poly([])
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly([c])
-        return acc
+        for c in reversed(cs):
+            acc = acc * inner + c
+        return acc if den == 1 else acc.scale(Fraction(1, den))
 
     def shift(self, a) -> "Poly":
         """p(x + a)."""
@@ -300,35 +408,17 @@ def _euclid_gcd(a: Poly, b: Poly) -> Poly:
 
 
 # -- rational kernel --------------------------------------------------------
-# Coefficient lists here are low-order first: Fractions for rational
-# polynomials, ints for their cleared or primitive multiples.
+# A rational polynomial is its integer form (ints, den), see the module
+# docstring; ints is low-order first.  Int lists held by a Poly are
+# never mutated.
+
+_UNIT = ([1], 1)
 
 
 def _rational_coeffs(p: Poly):
-    """p's coefficients as Fractions, or None if any lies in an extension."""
-    cs = p.coeffs
-    for c in cs:
-        if c.tower is not QQ:
-            return None
-    return [c.val for c in cs]
-
-
-def _cleared(fracs):
-    """(ints, den) with fracs == ints / den, den the lcm of denominators."""
-    den = ilcm(*(q.denominator for q in fracs))
-    if den == 1:
-        return [q.numerator for q in fracs], 1
-    return [q.numerator * (den // q.denominator) for q in fracs], den
-
-
-def _integer_primitive(fracs):
-    """(content, prim) with fracs == content * prim for a nonzero list.
-
-    content is a positive Fraction and prim an int list with content 1.
-    """
-    ints, den = _cleared(fracs)
-    c = igcd(*ints)
-    return Fraction(c, den), _primitive(ints, c)
+    """p's integer form (ints, den), or None if a coefficient lies in an
+    extension.  The one dispatch hook of the kernel."""
+    return p._integer_form()
 
 
 def _primitive(f, c=None):
@@ -340,51 +430,70 @@ def _primitive(f, c=None):
     return [x // c for x in f]
 
 
+def _monic(f):
+    """The monic multiple of a nonzero int list, as a Poly."""
+    lf = f[-1]
+    return Poly._from_zz(f if lf > 0 else [-c for c in f], abs(lf))
+
+
+def _rational_add(fa, fb, sign):
+    """fa + sign * fb over the lcm of the denominators, as a Poly."""
+    (a, da), (b, db) = fa, fb
+    den = ilcm(da, db)
+    ua, ub = den // da, sign * (den // db)
+    if ua != 1:
+        a = [ua * c for c in a]
+    if ub != 1:
+        b = [ub * c for c in b]
+    n = min(len(a), len(b))
+    return Poly._from_zz([x + y for x, y in zip(a, b)] + a[n:] + b[n:], den)
+
+
 def _rational_mul(fa, fb):
-    """Product of two nonzero rational coefficient lists as a Poly."""
-    a, da = _cleared(fa)
-    b, db = _cleared(fb)
+    """Product of two nonzero integer forms as a Poly."""
+    (a, da), (b, db) = fa, fb
     nb = len(b)
     out = [0] * (len(a) + nb - 1)
     for i, ai in enumerate(a):
         if ai:
             out[i:i + nb] = [o + ai * bj for o, bj in zip(out[i:i + nb], b)]
-    d = da * db
-    if d == 1:
-        return Poly._from_fractions([Fraction(c) for c in out])
-    return Poly._from_fractions([Fraction(c, d) for c in out])
+    return Poly._from_zz(out, da * db)
 
 
 def _rational_divmod(fa, fb):
-    """(q, r) Fraction lists with fa == q*fb + r, deg fa >= deg fb >= 0."""
-    d = len(fb) - 1
-    n = len(fa) - 1
-    inv = 1 / fb[d]
-    r = list(fa)
-    q = [Fraction(0)] * (n - d + 1)
-    for k in range(n - d, -1, -1):
-        c = r[k + d]
-        if not c:
-            continue
-        t = c * inv
-        q[k] = t
-        # r[k + d] - t * fb[d] is zero by construction; only the lower
-        # coefficients change
-        for j in range(d):
-            if fb[j]:
-                r[k + j] -= t * fb[j]
-    del r[d:]
-    return q, r
+    """(q, r) Polys with fa == q*fb + r; deg fa >= deg fb >= 0."""
+    (a, da), (b, db) = fa, fb
+    s, q, r = _integer_pdivmod(a, b)
+    # s*a == q*b + r, so a/da == (q*db / (s*da)) * (b/db) + r / (s*da)
+    den = s * da
+    return Poly._from_zz([c * db for c in q], den), Poly._from_zz(r, den)
+
+
+def _rational_exact_div(fa, fb):
+    """fa / fb as a Poly, fb nonzero; raises InexactDivision otherwise.
+
+    By Gauss's lemma the primitive part of fb divides the ints of fa in
+    Z[x] whenever fb divides fa over Q; the content goes to the
+    denominator.
+    """
+    (a, da), (b, db) = fa, fb
+    if not a:
+        return Poly([])
+    cb = igcd(*b)
+    q = _integer_exact_div(a, _primitive(b, cb))
+    return Poly._from_zz([c * db for c in q], da * cb)
 
 
 def _rational_gcd(fa, fb):
-    """Monic gcd of two rational coefficient lists as a Poly."""
-    if not fa:
-        fa, fb = fb, fa
-    if not fb:
-        return Poly._from_fractions([c / fa[-1] for c in fa])
-    h = _prs_gcd(_integer_primitive(fa)[1], _integer_primitive(fb)[1])
-    return Poly._from_fractions([Fraction(c, h[-1]) for c in h])
+    """Monic gcd of two integer forms as a Poly."""
+    a, b = fa[0], fb[0]
+    if not a:
+        a, b = b, a
+    if not a:
+        return Poly([])
+    if not b:
+        return _monic(a)
+    return _monic(_prs_gcd(_primitive(a), _primitive(b)))
 
 
 def _prs_gcd(f, g):
@@ -399,41 +508,49 @@ def _prs_gcd(f, g):
     if len(f) < len(g):
         f, g = g, f
     while g:
-        r = _integer_prem(f, g)
+        r = _integer_pdivmod(f, g)[2]
         f, g = g, _primitive(r) if r else r
     return f
 
 
-def _integer_prem(f, g):
-    """A nonzero integer multiple of the remainder of f by g.
+def _integer_pdivmod(f, g):
+    """(s, q, r) with s*f == q*g + r, s > 0 and deg r < deg g.
 
-    Each step scales f by lc(g) / h and subtracts lc(f) / h times a
-    shift of g, with h = gcd(lc(f), lc(g)); the multiple may differ from
-    the classical pseudo-remainder, which the PRS divides out anyway.
+    f and g are int lists, g nonzero; r has no trailing zeros.  Each
+    step scales by |lc(g)| / h only, h = gcd(lc(r), lc(g)), so s divides
+    |lc(g)|^(deg f - deg g + 1) and is 1 whenever lc(g) = +-1.
     """
-    r = list(f)
     dg = len(g) - 1
     lg = g[-1]
+    r = list(f)
+    steps = []
+    s = 1
     while len(r) > dg:
-        lr = r[-1]
-        h = igcd(lr, lg)
+        # r <- u*r - v*x^k*g cancels the top term, which is popped
+        lr = r.pop()
+        h = igcd(lr, lg) if lg > 0 else -igcd(lr, lg)
         u, v = lg // h, lr // h
-        k = len(r) - 1 - dg
+        k = len(r) - dg
         if u != 1:
             r = [u * c for c in r]
+            s *= u
         for j in range(dg):
             r[k + j] -= v * g[j]
-        r.pop()
+        steps.append((k, v, s))
         while r and not r[-1]:
             r.pop()
-    return r
+    q = [0] * max(len(f) - dg, 0)
+    for k, v, sk in steps:
+        # v was found at scale sk; the later steps scaled it by s / sk
+        q[k] = v * (s // sk)
+    return s, q, r
 
 
 def _integer_exact_div(f, g):
     """f / g for int lists when g divides f in Z[x].
 
     Every step must divide evenly and the remainder must vanish;
-    otherwise raises ValueError, as Poly.exact_div does.
+    otherwise raises InexactDivision, as Poly.exact_div does.
     """
     dg = len(g) - 1
     lg = g[-1]
@@ -442,38 +559,38 @@ def _integer_exact_div(f, g):
     for k in range(len(q) - 1, -1, -1):
         t, m = divmod(r[k + dg], lg)
         if m:
-            raise ValueError("division is not exact")
+            raise InexactDivision("division is not exact")
         q[k] = t
         if t:
             for j in range(dg):
                 r[k + j] -= t * g[j]
     if any(r[:dg]):
-        raise ValueError("division is not exact")
+        raise InexactDivision("division is not exact")
     return q
 
 
 def _rational_canonical(fn, fd):
     """Canonical num/den of the rational function fn/fd as two Polys.
 
-    fn and fd are rational coefficient lists, fd nonzero.  The result is
-    coprime with a monic denominator: the contents come off first, the
-    primitive parts are divided exactly by their primitive gcd, and the
-    ratio of contents over lc(den) scales the numerator.
+    fn and fd are integer forms, fd nonzero.  The result is coprime with
+    a monic denominator: the contents come off first, the primitive
+    parts are divided exactly by their primitive gcd, and the ratio of
+    contents and denominators over lc(den) scales the numerator.
     """
-    if not fn:
-        return Poly([]), Poly._from_fractions([Fraction(1)])
-    cn, f = _integer_primitive(fn)
-    cd, g = _integer_primitive(fd)
+    (a, da), (b, db) = fn, fd
+    if not a:
+        return Poly([]), Poly.coerce(1)
+    ca, cb = igcd(*a), igcd(*b)
+    f, g = _primitive(a, ca), _primitive(b, cb)
     h = _prs_gcd(f, g)
     if len(h) > 1:
         f = _integer_exact_div(f, h)
         g = _integer_exact_div(g, h)
-    lg = g[-1]
-    s = cn / (cd * lg)
-    sn, sd = s.numerator, s.denominator
-    num = Poly._from_fractions([Fraction(sn * c, sd) for c in f])
-    den = Poly._from_fractions([Fraction(c, lg) for c in g])
-    return num, den
+    # fn/fd == (ca*db / (da*cb)) * f/g and the monic denominator is g/lc(g)
+    m, d = ca * db, da * cb * g[-1]
+    if d < 0:
+        m, d = -m, -d
+    return Poly._from_zz([m * c for c in f], d), _monic(g)
 
 
 def lcm(a: Poly, b: Poly) -> Poly:
@@ -537,7 +654,7 @@ def rational_roots(p: Poly):
         raise ValueError("zero polynomial")
     if not p.is_rational_poly():
         raise ValueError("rational root search needs rational coefficients")
-    ints = _integer_primitive(_rational_coeffs(p))[1]
+    ints = _primitive(_rational_coeffs(p)[0])
     # strip trailing zero coefficients at the bottom (root 0)
     roots = []
     low = 0

@@ -4,11 +4,13 @@ Canonical form everywhere: numerator and denominator coprime, denominator
 monic.  When every coefficient of numerator and denominator is rational,
 the constructor reaches that form through poly's rational kernel
 (_rational_canonical): contents, primitive gcd and exact quotients on
-integer lists, one Scalar per result coefficient.  Otherwise it runs
+the integer forms, and no Scalar is built.  Otherwise it runs
 _canonical_form (gcd, exact_div and scale on Scalars), the path for
 tower coefficients and the reference the tests hold the kernel to.
 Arithmetic on canonical operands reaches the kernel through Poly's
-multiply, divmod and gcd.
+add, multiply, exact_div, derivative and gcd, so a rational chain of
+RatFunc operations builds Scalars only where a caller reads .coeffs
+(Laurent expansions, evaluation, printing).
 
 On top of the arithmetic this module provides the local data the
 decision algorithm feeds on: pole lists, Laurent expansions at finite

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from riccati_galois import cli, scalars
+from riccati_galois.poly import InexactDivision, Poly
 from riccati_galois.reports import SCHEMA, Report, render_text, to_json
 
 
@@ -169,6 +170,20 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", "--rho", "x^2-1", "--no-timing")
         assert code == 4
         assert "verification" in err
+
+    def test_internal_fault_is_not_unsupported(self, capsys, monkeypatch):
+        # a division that leaves a remainder is a broken invariant of the
+        # kernel, although InexactDivision is a ValueError
+        def broken(self, other):
+            raise InexactDivision("division is not exact")
+
+        monkeypatch.setattr(Poly, "exact_div", broken)
+        code, out, err = run(
+            capsys, "solve", "--rho", "1/(x^2-1)^2", "--no-timing"
+        )
+        assert code == 4
+        assert out == ""
+        assert "internal fault" in err and "unsupported" not in err
 
     def test_missing_param(self, capsys):
         code, _, err = run(capsys, "apply", "s1", "--no-timing")

@@ -1,12 +1,21 @@
 import contextlib
 from fractions import Fraction as F
+from math import gcd as igcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from riccati_galois import poly as poly_module
+from riccati_galois import cli, poly as poly_module
 from riccati_galois.linalg import det, nullspace, rank, solve
+from riccati_galois.odeforms import (
+    RiccatiGeneral,
+    transform_B,
+    transform_R,
+    transform_S,
+    transform_T,
+)
 from riccati_galois.poly import (
+    InexactDivision,
     Poly,
     _euclid_gcd,
     _integer_exact_div,
@@ -91,6 +100,8 @@ class TestPolyArithmetic:
     def test_exact_div_raises_on_remainder(self):
         with pytest.raises(ValueError):
             (X**2 + 1).exact_div(X - 1)
+        with pytest.raises(InexactDivision, match="division is not exact"):
+            (X**2 + 1).exact_div(X - SQRT2)
 
     def test_eval_and_compose(self):
         p = 2 * X**2 - 3 * X + 1
@@ -382,6 +393,15 @@ def keys(p):
     return [c.key() for c in p.coeffs]
 
 
+def assert_canonical(p):
+    """p's integer form is canonical, and its eager copy agrees with it."""
+    ints, den = p._integer_form()
+    assert den >= 1 and igcd(den, *ints) == 1
+    assert not ints or ints[-1] != 0
+    eager = Poly(p.coeffs)
+    assert p == eager and hash(p) == hash(eager)
+
+
 @contextlib.contextmanager
 def scalar_route():
     """Every Poly operation takes the Scalar loops, rational or not."""
@@ -422,6 +442,32 @@ class TestRationalKernel:
         assert keys(rem) == keys(ref_rem)
         # the planted factor divides exactly
         assert keys((common * p).exact_div(common)) == keys(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fraction_polys, fraction_polys, fraction_polys, small_fractions)
+    def test_linear_ops_match_scalar_route(self, common, p, q, s):
+        # a is built by the kernel, so its Scalars come from the integer
+        # form; q is rebuilt from Scalars, so its integer form comes from
+        # them
+        a, q = common * p, Poly(q.coeffs)
+        ops = {
+            "add": lambda: a + q,
+            "sub": lambda: q - a,
+            "neg": lambda: -a,
+            "scale": lambda: a.scale(s),
+            "derivative": lambda: a.derivative(),
+            "monic": lambda: q.monic(),
+        }
+        if not common.is_zero():
+            ops["exact_div"] = lambda: a.exact_div(common)
+        got = {name: op() for name, op in ops.items()}
+        with scalar_route():
+            ref = {name: op() for name, op in ops.items()}
+        for name, result in got.items():
+            assert keys(result) == keys(ref[name]), name
+            assert_canonical(result)
+        for operand in (common, p, q, a):
+            assert_canonical(operand)
 
     @settings(max_examples=150, deadline=None)
     @given(fraction_polys, fraction_polys, fraction_polys)
@@ -478,34 +524,89 @@ ARITHMETIC_DUNDERS = (
 )
 
 
+def count_scalar_arithmetic(monkeypatch):
+    """Patch the Scalar arithmetic methods to log their names; the log."""
+    calls = []
+
+    def counting(name):
+        inner = getattr(Scalar, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+
+        return wrapper
+
+    for name in ARITHMETIC_DUNDERS:
+        monkeypatch.setattr(Scalar, name, counting(name))
+    return calls
+
+
+class FrozenList(list):
+    """A list whose every mutating method fails the test."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a caller mutated the list of Poly.coeffs")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+
+
 class TestKernelDispatch:
     def test_rational_operands_make_no_scalar_arithmetic(self, monkeypatch):
         a = Poly([F(1, 2), -3, F(2, 3)])
         b = Poly([F(-5, 4), 0, 7, -1])
         common = Poly([F(3, 2), 1])
         num, den = a * common, b * common
-        calls = []
-
-        def counting(name):
-            inner = getattr(Scalar, name)
-
-            def wrapper(*args):
-                calls.append(name)
-                return inner(*args)
-
-            return wrapper
-
-        for name in ARITHMETIC_DUNDERS:
-            monkeypatch.setattr(Scalar, name, counting(name))
+        eager = Poly(a.coeffs)
+        calls = count_scalar_arithmetic(monkeypatch)
         a * b
         b.divmod(a)
         num.exact_div(common)
+        a + b, a - b, -a, a.scale(F(-2, 3)), a.derivative(), b.monic()
+        # eager is built from Scalars, a from its integer form
+        assert a == eager and a != b and len({a, eager}) == 1
+        gcd(num, den)
         RatFunc(num, den)
         RatFunc(Poly([]), den)
         assert calls == []
         # the counter sees the Scalar loop
         a._scalar_mul(b)
         assert calls
+
+    def test_riccati_chain_makes_no_scalar_arithmetic(self, monkeypatch):
+        e = RiccatiGeneral(
+            RatFunc(Poly([2, -1, 3]), Poly([1, 0, -2])),
+            RatFunc(Poly([F(1, 2), 3]), Poly([-3, 1])),
+            RatFunc(Poly([-2, 0, 0, 1]), Poly([1, 2])),
+        )
+        calls = count_scalar_arithmetic(monkeypatch)
+        direct = transform_T(e)[0]
+        via_linear = transform_R(transform_S(transform_B(e))[0])
+        assert direct.r == via_linear.r
+        assert calls == []
+
+    def test_callers_never_mutate_coeffs(self, monkeypatch, capsys):
+        # every Poly hands out a list that refuses mutation, on the
+        # rational and the tower paths of the solver and the pipelines
+        coeffs = Poly.coeffs
+        monkeypatch.setattr(
+            Poly, "coeffs", property(lambda p: FrozenList(coeffs.fget(p)))
+        )
+        rhos = [
+            "x^2-1",
+            "x",
+            "-3/(16*(x^2-2)^2)",
+            "(-2/9*x^2 + 2/9*x - 3/16)/(x^4 - 2*x^3 + x^2)",
+            "-3/(16*x^2) - 2/(9*(x-1)^2) + 3/(16*x*(x-1))",
+        ]
+        for rho in rhos:
+            assert cli.main(["solve", "--rho=" + rho, "--no-timing"]) == 0
+        assert cli.main(["apply", "examples", "--no-timing"]) == 0
+        r = RatFunc(Poly([1, 0, 3]), (X - 1) ** 3 * (X**2 - 2))
+        hermite_reduce(r)
+        log_residues(RatFunc(Poly([1]), X**2 - 2))
+        capsys.readouterr()
 
     def test_tower_operands_take_the_scalar_loops(self, monkeypatch):
         rational = X**2 - 3 * X + F(1, 2)
@@ -515,19 +616,41 @@ class TestKernelDispatch:
         # the canonical forms, written out by hand
         want1 = keys(F(3, 2) * X + F(3, 2)), keys(X - F(1, 2))
         want2 = keys((X + SQRT2) * F(1, 2)), keys(X**2 - F(1, 2))
+        product = rational * surd
 
         def refuse(*args):
             raise AssertionError("rational kernel entered with a tower operand")
 
-        for name in ("_rational_mul", "_rational_divmod", "_rational_canonical"):
+        for name in (
+            "_rational_add",
+            "_rational_mul",
+            "_rational_divmod",
+            "_rational_exact_div",
+            "_rational_gcd",
+            "_rational_canonical",
+            "_integer_pdivmod",
+            "_integer_exact_div",
+            "_prs_gcd",
+        ):
             monkeypatch.setattr(poly_module, name, refuse)
         monkeypatch.setattr("riccati_galois.ratfunc._rational_canonical", refuse)
         assert keys(rational * surd) == keys(rational._scalar_mul(surd))
         assert keys(surd * rational) == keys(surd._scalar_mul(rational))
-        q, r = (rational * surd).divmod(surd)
+        q, r = product.divmod(surd)
         assert keys(q) == keys(rational) and r.is_zero()
         q, r = rational.divmod(surd)
         assert q * surd + r == rational
+        with pytest.MonkeyPatch.context() as mp:
+            # every kernel result is built here, so this also guards the
+            # unary operations; the canonical forms below may meet
+            # rational quotients, which rightly take the kernel
+            mp.setattr(Poly, "_from_zz", classmethod(refuse))
+            assert keys(product.exact_div(surd)) == keys(rational)
+            assert keys(product.exact_div(rational)) == keys(surd)
+            assert (surd + rational) - rational == surd
+            assert keys(-(-surd)) == keys(surd)
+            assert surd.scale(2) != surd and surd.monic() == surd
+            assert keys(gcd(product, surd)) == keys(surd)
         r1, r2 = RatFunc(num1, den1), RatFunc(num2, den2)
         assert (keys(r1.num), keys(r1.den)) == want1
         assert (keys(r2.num), keys(r2.den)) == want2
