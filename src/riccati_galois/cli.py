@@ -6,13 +6,14 @@ Darboux combinations for a planar field) and apply (the end-to-end
 pipelines).  Output is a JSON report on stdout, or its text rendering;
 diagnostics go to stderr.  Exit codes: 0 verdict computed, 2 syntax
 or usage error, 3 unsupported field or parameter combination, 4 an
-artifact failed verification before emission.
+internal fault: failed verification or a broken kernel invariant.
 
 Every artifact is re-verified against its defining identity before it
 is emitted; this is deliberate and cannot be switched off.
 """
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -73,7 +74,6 @@ from .specialfn import (
 EXIT_OK = 0
 EXIT_SYNTAX = 2
 EXIT_UNSUPPORTED = 3
-EXIT_VERIFICATION = 4
 EXIT_INTERNAL = 4
 
 
@@ -379,7 +379,9 @@ def _tower_depth(text):
     return depth
 
 
+@functools.cache
 def build_parser():
+    # one shared parser, built on first use (not at import); do not modify it
     parser = argparse.ArgumentParser(prog="riccati-galois")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -478,7 +480,7 @@ def _run(args) -> int:
         return EXIT_UNSUPPORTED
     except VerificationError as exc:
         print("verification failure: %s" % exc, file=sys.stderr)
-        return EXIT_VERIFICATION
+        return EXIT_INTERNAL
     seconds = None if args.no_timing else time.perf_counter() - started
     data = report.finish(seconds)
     if args.json:

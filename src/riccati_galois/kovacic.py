@@ -6,6 +6,14 @@ Four cases, matching the algebraic subgroups of SL(2, C):
   3. omega algebraic of degree 4, 6 or 12 (tetrahedral/octahedral/icosahedral)
   4. no Liouvillian solutions at all.
 
+Cases 1-3 share one search, _search (Kovacic 1986, sections 3-4; Ulmer
+& Weil 1996), with three parameters: the options at each point (local
+exponents, finite poles first, tagged with what the certificate needs),
+the degree map m = scale * (e_inf - sum e_c) and a candidate builder
+(operator, monic kernel polynomial of degree m, check).  Cases 2 and 3
+share _exponent_sets.  Case 2 keeps Kovacic's 2 + k sqrt(1 + 4b), scale
+1/2: rescaled sets sort (Scalar.sort_key) into another candidate order.
+
 Every positive answer carries an exact certificate and is re-verified
 symbolically before being returned:
   case 1: P'' + 2 omega P' + (omega' + omega^2 - r) P = 0
@@ -15,7 +23,7 @@ symbolically before being returned:
 """
 
 from fractions import Fraction
-from itertools import product
+from functools import partial
 from math import factorial
 
 from .formal import FormalIntegral, FormalProduct
@@ -153,6 +161,16 @@ def _match_sqrt_head(t, v, low):
     return u, b
 
 
+def _order2_root(r: RatFunc, point):
+    """sqrt(1 + 4b), b the coefficient of (x - point)^-2 (of x^-2 at
+    INFINITY): the local exponent difference at a point of order 2."""
+    if point is INFINITY:
+        _, coeffs = r.laurent_at_infinity(1)
+    else:
+        _, coeffs = r.laurent_at(point, 1)
+    return (1 + 4 * coeffs[0]).sqrt()
+
+
 def classify_point_case1(r: RatFunc, point) -> LocalData:
     """Local exponent data for Case 1 at a finite point or INFINITY.
 
@@ -161,14 +179,11 @@ def classify_point_case1(r: RatFunc, point) -> LocalData:
     """
     zero = Scalar.coerce(0)
     if point is INFINITY:
-        if r.is_zero():
-            return LocalData(point, "inf1", Poly([]), zero, Scalar.coerce(1))
         o = r.order_at_infinity()
-        if o > 2:
+        if o is None or o > 2:
             return LocalData(point, "inf1", Poly([]), zero, Scalar.coerce(1))
         if o == 2:
-            _, coeffs = r.laurent_at_infinity(1)
-            root = (1 + 4 * coeffs[0]).sqrt()
+            root = _order2_root(r, INFINITY)
             return LocalData(
                 point, "inf2", Poly([]), (1 + root) / 2, (1 - root) / 2
             )
@@ -191,8 +206,7 @@ def classify_point_case1(r: RatFunc, point) -> LocalData:
         one = Scalar.coerce(1)
         return LocalData(c, "c1", RatFunc.coerce(0), one, one)
     if order == 2:
-        _, coeffs = r.laurent_at(c, 1)
-        root = (1 + 4 * coeffs[0]).sqrt()
+        root = _order2_root(r, c)
         return LocalData(
             c, "c2", RatFunc.coerce(0), (1 + root) / 2, (1 - root) / 2
         )
@@ -246,6 +260,39 @@ def verify_case1(r: RatFunc, omega: RatFunc, p: Poly) -> bool:
     return lhs.is_zero()
 
 
+def _search(exponents, tags, scale, build):
+    """First non-None build(tags of a choice, m) over the choices of one
+    exponent per point (tags[i][j] goes with exponents[i][j]) of integer
+    degree m >= 0, in (m, product index) order.  The walk keeps partial
+    sums of the finite exponents, so each prefix is summed once."""
+    finite, at_inf = exponents[:-1], exponents[-1]
+    idx = [0] * len(finite)
+    sums = [0] * (len(finite) + 1)  # sums[i]: exponents before point i
+    stale, candidates = 0, []
+    while stale >= 0:
+        for i in range(stale, len(finite)):
+            sums[i + 1] = sums[i] + finite[i][idx[i]]
+        for j, e in enumerate(at_inf):
+            m = e - sums[-1]
+            if scale != 1:
+                m = m * scale
+            if m.is_nonneg_integer():
+                candidates.append((int(m.as_fraction()), idx + [j]))
+        # next choice in product order: the last point that can move does
+        stale = len(finite) - 1
+        while stale >= 0 and idx[stale] == len(finite[stale]) - 1:
+            idx[stale] = 0
+            stale -= 1
+        if stale >= 0:
+            idx[stale] += 1
+    candidates.sort(key=lambda c: c[0])  # stable: product order within m
+    for m, choice in candidates:
+        res = build([t[j] for t, j in zip(tags, choice)], m)
+        if res is not None:
+            return res
+    return None
+
+
 def case1(r: RatFunc):
     r = RatFunc.coerce(r)
     data_inf = classify_point_case1(r, INFINITY)
@@ -257,23 +304,15 @@ def case1(r: RatFunc):
         if d.subcase is None:
             return None
         locals_.append(d)
-    points = locals_ + [data_inf]
-    candidates = []
-    for idx, signs in enumerate(product((1, -1), repeat=len(points))):
-        m = data_inf.alpha(signs[-1])
-        for d, sg in zip(locals_, signs):
-            m = m - d.alpha(sg)
-        if m.is_nonneg_integer():
-            candidates.append((int(m.as_fraction()), idx, signs))
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    for m, _idx, signs in candidates:
+
+    def build(signs, m):
         omega = RatFunc.coerce(data_inf.sqrt_head) * signs[-1]
         for d, sg in zip(locals_, signs):
             omega = omega + RatFunc.coerce(d.sqrt_head) * sg
             omega = omega + RatFunc(Poly([d.alpha(sg)]), Poly([-d.point, 1]))
         vfun = omega.derivative() + omega * omega - r
 
-        def op(q, omega=omega, vfun=vfun):
+        def op(q):
             return (
                 RatFunc.coerce(q.derivative().derivative())
                 + 2 * omega * RatFunc.coerce(q.derivative())
@@ -283,7 +322,17 @@ def case1(r: RatFunc):
         p = _monic_poly_solution(op, m)
         if p is not None and verify_case1(r, omega, p):
             return Case1Result(omega, p, m)
-    return None
+        return None
+
+    points = locals_ + [data_inf]
+    signs = []
+    for d in points:
+        # equal alphas and a zero head (a simple pole): one omega, one sign
+        head = RatFunc.coerce(d.sqrt_head)
+        same = d.alpha_plus == d.alpha_minus and head.is_zero()
+        signs.append((1,) if same else (1, -1))
+    alphas = [[d.alpha(sg) for sg in sgs] for d, sgs in zip(points, signs)]
+    return _search(alphas, signs, 1, build)
 
 
 def _omega_mod(g, f):
@@ -327,34 +376,38 @@ def verify_algebraic_riccati(r: RatFunc, coeffs) -> bool:
     return not _omega_mod(g, f)
 
 
-def _case2_local_sets(r: RatFunc, poles):
-    """E_c for each finite pole, in pole order."""
-    sets = []
-    for c, order in poles:
-        if order == 1:
-            sets.append([Scalar.coerce(4)])
-        elif order == 2:
-            _, coeffs = r.laurent_at(c, 1)
-            root = (1 + 4 * coeffs[0]).sqrt()
-            entries = {(2 + k * root).key(): 2 + k * root for k in (0, -2, 2)}
-            sets.append(
-                sorted(entries.values(), key=lambda s: s.sort_key())
-            )
-        else:
-            sets.append([Scalar.coerce(order)])
-    return sets
-
-
-def _case2_inf_set(r: RatFunc):
+def _exponent_sets(r: RatFunc, poles, center, ns):
+    """Per n in ns, lazily: E_c of Cases 2 and 3, finite poles first.  A
+    pole of order 2, and infinity of order o >= 2 (b = 0 if o > 2), get
+    center + (2 center k / n) sqrt(1 + 4b), |k| <= n/2, in sort_key order;
+    a simple pole {2 center}, a pole of order k > 2 {k}, infinity {o}."""
+    local = [
+        _order2_root(r, c)
+        if order == 2
+        else [Scalar.coerce(2 * center if order == 1 else order)]
+        for c, order in poles
+    ]
     o = r.order_at_infinity()
-    if o > 2:
-        return [Scalar.coerce(0), Scalar.coerce(2), Scalar.coerce(4)]
-    if o == 2:
-        _, coeffs = r.laurent_at_infinity(1)
-        root = (1 + 4 * coeffs[0]).sqrt()
-        entries = {(2 + k * root).key(): 2 + k * root for k in (0, -2, 2)}
-        return sorted(entries.values(), key=lambda s: s.sort_key())
-    return [Scalar.coerce(o)]
+    root = _order2_root(r, INFINITY) if o == 2 else Scalar.coerce(1)
+    local.append(root if o >= 2 else [Scalar.coerce(o)])
+    for n in ns:
+        sets = []
+        for root in local:
+            if not isinstance(root, list):  # the set spaced around root
+                step = Fraction(2 * center, n) * root
+                es = [center + k * step for k in range(-n // 2, n // 2 + 1)]
+                es = {e.key(): e for e in es}.values()
+                root = sorted(es, key=Scalar.sort_key)
+            sets.append(root)
+        yield sets
+
+
+def _theta(poles, exponents, scale):
+    """theta = sum scale * e_c / (x - c) over the finite poles."""
+    theta = RatFunc.coerce(0)
+    for (c, _), e_c in zip(poles, exponents):
+        theta = theta + RatFunc(Poly([e_c * scale]), Poly([-c, 1]))
+    return theta
 
 
 def case2(r: RatFunc):
@@ -362,29 +415,18 @@ def case2(r: RatFunc):
     poles = r.poles()
     if not poles:
         return None
-    e_sets = _case2_local_sets(r, poles)
-    e_inf = _case2_inf_set(r)
-    pole_points = [c for c, _ in poles]
-    candidates = []
-    for idx, choice in enumerate(product(*(e_sets + [e_inf]))):
-        m = choice[-1]
-        for e_c in choice[:-1]:
-            m = m - e_c
-        m = m / 2
-        if m.is_nonneg_integer():
-            candidates.append((int(m.as_fraction()), idx, choice))
-    candidates.sort(key=lambda c: (c[0], c[1]))
+    # Kovacic's E_c: {2, 2 +- 2 sqrt(1 + 4b)}, m = (e_inf - sum e_c) / 2
+    sets = next(_exponent_sets(r, poles, 2, [2]))
     rp = r.derivative()
-    for m, _idx, choice in candidates:
-        theta = RatFunc.coerce(0)
-        for c, e_c in zip(pole_points, choice[:-1]):
-            theta = theta + RatFunc(Poly([e_c]), Poly([-c, 1])) / 2
+
+    def build(choice, m):
+        theta = _theta(poles, choice[:-1], Fraction(1, 2))
         tp = theta.derivative()
         tpp = tp.derivative()
         coef1 = 3 * tp + 3 * theta * theta - 4 * r
         coef0 = tpp + 3 * theta * tp + theta**3 - 4 * r * theta - 2 * rp
 
-        def op(q, theta=theta, coef1=coef1, coef0=coef0):
+        def op(q):
             q1 = q.derivative()
             q2 = q1.derivative()
             q3 = q2.derivative()
@@ -397,96 +439,54 @@ def case2(r: RatFunc):
 
         p = _monic_poly_solution(op, m)
         if p is None:
-            continue
+            return None
         phi = theta + RatFunc.coerce(p.derivative()) / RatFunc.coerce(p)
         n0 = (phi.derivative() + phi * phi - 2 * r) / 2
         quadratic = (n0, -phi, RatFunc.coerce(1))
         if verify_algebraic_riccati(r, quadratic):
             return Case2Result(theta, p, m, phi, quadratic)
-    return None
+        return None
+
+    return _search(sets, sets, Fraction(1, 2), build)
 
 
 def case3(r: RatFunc):
     r = RatFunc.coerce(r)
     poles = r.poles()
-    if not poles:
+    if not poles or any(o > 2 for _, o in poles) or r.order_at_infinity() < 2:
         return None
-    if any(order > 2 for _, order in poles):
-        return None
-    o = r.order_at_infinity()
-    if o < 2:
-        return None
-    if o == 2:
-        _, coeffs = r.laurent_at_infinity(1)
-        b_inf = coeffs[0]
-    else:
-        b_inf = Scalar.coerce(0)
-    root_inf = (1 + 4 * b_inf).sqrt()
-    pole_points = [c for c, _ in poles]
-    pole_roots = []
-    for c, order in poles:
-        if order == 1:
-            pole_roots.append(None)
-        else:
-            _, cs = r.laurent_at(c, 1)
-            pole_roots.append((1 + 4 * cs[0]).sqrt())
     s_poly = Poly([1])
-    for c in pole_points:
+    for c, _ in poles:
         s_poly = s_poly * Poly([-c, 1])
     s2r = (RatFunc.coerce(s_poly) ** 2 * r).as_poly()
 
-    def spaced(root, n):
-        # 6 + (12 k / n) root for |k| <= n/2, deduplicated
-        entries = {}
-        for k in range(-(n // 2), n // 2 + 1):
-            e = 6 + Fraction(12 * k, n) * root
-            entries[e.key()] = e
-        return sorted(entries.values(), key=lambda s: s.sort_key())
+    def build(choice, m, n):
+        theta = _theta(poles, choice[:-1], Fraction(n, 12))
+        s_theta = (theta * RatFunc.coerce(s_poly)).as_poly()
 
-    for n in (4, 6, 12):
-        e_sets = [
-            [Scalar.coerce(12)] if root is None else spaced(root, n)
-            for root in pole_roots
+        def p_minus_one(q):
+            seq = _case3_sequence(q, s_poly, s_theta, s2r, n)
+            return RatFunc.coerce(seq[0])
+
+        p = _monic_poly_solution(p_minus_one, m)
+        if p is None:
+            return None
+        seq = _case3_sequence(p, s_poly, s_theta, s2r, n)
+        # seq[i + 1] is P_i for i in -1..n
+        omega_poly = [
+            RatFunc(s_poly**i * seq[i + 1], Poly([factorial(n - i)]))
+            for i in range(n + 1)
         ]
-        e_inf = spaced(root_inf, n)
-        candidates = []
-        for idx, choice in enumerate(product(*(e_sets + [e_inf]))):
-            m = choice[-1]
-            for e_c in choice[:-1]:
-                m = m - e_c
-            m = m * Fraction(n, 12)
-            if m.is_nonneg_integer():
-                candidates.append((int(m.as_fraction()), idx, choice))
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        for m, _idx, choice in candidates:
-            theta = RatFunc.coerce(0)
-            s_theta = Poly([])
-            for c, e_c in zip(pole_points, choice[:-1]):
-                theta = theta + RatFunc(
-                    Poly([e_c * Fraction(n, 12)]), Poly([-c, 1])
-                )
-                s_theta = s_theta + s_poly.exact_div(Poly([-c, 1])).scale(
-                    e_c * Fraction(n, 12)
-                )
+        if verify_algebraic_riccati(r, omega_poly):
+            return Case3Result(n, theta, s_poly, p, m, omega_poly)
+        return None
 
-            def p_minus_one(q, s_theta=s_theta, n=n):
-                seq = _case3_sequence(q, s_poly, s_theta, s2r, n)
-                return RatFunc.coerce(seq[0])
-
-            p = _monic_poly_solution(p_minus_one, m)
-            if p is None:
-                continue
-            seq = _case3_sequence(p, s_poly, s_theta, s2r, n)
-            # seq[i + 1] is P_i for i in -1..n
-            omega_poly = []
-            s_pow = Poly([1])
-            for i in range(n + 1):
-                omega_poly.append(
-                    RatFunc(s_pow * seq[i + 1], Poly([factorial(n - i)]))
-                )
-                s_pow = s_pow * s_poly
-            if verify_algebraic_riccati(r, omega_poly):
-                return Case3Result(n, theta, s_poly, p, m, omega_poly)
+    # Kovacic's E_c: 6 + (12 k / n) sqrt(1 + 4b), |k| <= n/2
+    ns = (4, 6, 12)
+    for n, sets in zip(ns, _exponent_sets(r, poles, 6, ns)):
+        res = _search(sets, sets, Fraction(n, 12), partial(build, n=n))
+        if res is not None:
+            return res
     return None
 
 
@@ -511,15 +511,10 @@ def solve_rlde(e) -> object:
         r = e.rho
     else:
         r = RatFunc.coerce(e)
-    res = case1(r)
-    if res is not None:
-        return res
-    res = case2(r)
-    if res is not None:
-        return res
-    res = case3(r)
-    if res is not None:
-        return res
+    for case in (case1, case2, case3):
+        res = case(r)
+        if res is not None:
+            return res
     return Case4Result()
 
 

@@ -185,6 +185,22 @@ class TestExitCodes:
         assert out == ""
         assert "internal fault" in err and "unsupported" not in err
 
+    def test_calls_do_not_share_options(self, capsys):
+        # the parser is built once per process; each call still sees
+        # only its own options
+        argv = ["solve", "--rho", "1/4 - k/x", "--no-timing"]
+        code, out, _ = run(capsys, *argv, "--param", "k=1", "--json")
+        assert code == 0
+        assert json.loads(out)["input"]["rho"] == "(1/4*x - 1)/(x)"
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "k" in err
+        code, out, _ = run(capsys, *argv, "--param", "k=2")
+        assert code == 0
+        assert out.startswith(SCHEMA + " solve\n")
+        assert "rho = (1/4*x - 2)/(x)" in out
+        assert cli.build_parser() is cli.build_parser()
+
     def test_missing_param(self, capsys):
         code, _, err = run(capsys, "apply", "s1", "--no-timing")
         assert code == 2

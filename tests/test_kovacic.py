@@ -1,7 +1,13 @@
+import contextlib
+import io
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from riccati_galois import cli
+from riccati_galois.applications import hypergeometric_rho
 from riccati_galois.kovacic import (
     INFINITY,
     Case4Result,
@@ -18,6 +24,7 @@ from riccati_galois.odeforms import ReducedODE
 from riccati_galois.poly import Poly
 from riccati_galois.ratfunc import RatFunc
 from riccati_galois.scalars import Scalar, scalar_sqrt
+from riccati_galois.specialfn import ExponentDiffs, kimura_test
 
 
 X = Poly.x()
@@ -260,3 +267,72 @@ class TestSecondSolution:
         res = case1(rf(0))
         sec = second_solution(res)
         assert "int" in str(sec)
+
+
+# `solve --json --no-timing` stdout for inputs that reach every local-set
+# branch: Case 1 subcases c1/c2/c3/inf1/inf2/inf3 (one with the surd head
+# sqrt(-1)), Case 2 with poles of order 2 and 3 and infinity of order < 2,
+# 2 and > 2, Case 3 with n = 4, 6 and 12, and Case 4 (simple pole, order
+# at infinity < 2).  "2/x^2" has two working candidates at the lowest
+# degree, and the tetrahedral input several, so a change in candidate
+# order changes the certificate.  "1/x^4 - 2/x + 3 + x^2" has a c3 pole
+# with equal alphas where only the minus sign works, so a sign dropped
+# there turns its Case 1 into Case 4.  Recorded before the shared search
+# was written; the search must reproduce them byte for byte.
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "solve_pinned.json").read_text()
+)
+
+
+@pytest.mark.parametrize("row", PINNED, ids=[r["rho"] for r in PINNED])
+def test_pinned_certificates(row):
+    argv = ["solve", "--rho=" + row["rho"], "--json", "--no-timing"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code == 0
+    assert out.getvalue() == row["stdout"]
+
+
+def mobius_pullback(rho):
+    """rho(x(t)) (ad - bc)^2 / (ct + d)^4 for x = (2t + 1)/(t + 3).
+
+    The Schwarzian of a Moebius map is 0, so this is the reduced
+    potential of the pulled-back equation and the Galois group is kept.
+    Infinity becomes the ordinary point x = 2, so every singular point
+    of the result is a finite pole."""
+    num, den = Poly([1, 2]), Poly([3, 1])
+    deg = max(rho.num.degree(), rho.den.degree())
+
+    def homogenised(p):
+        out = Poly([])
+        for i, c in enumerate(p.coeffs):
+            out = out + Poly([c]) * num**i * den ** (deg - i)
+        return out
+
+    return RatFunc(homogenised(rho.num) * 25, homogenised(rho.den) * den**4)
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        # not on Kimura's list
+        (F(1, 3), F(1, 4), F(1, 7)),
+        (F(1, 2), F(1, 3), F(1, 7)),
+        # controls: table family 1 (dihedral), family 4 (octahedral)
+        (F(1, 2), F(1, 2), F(1, 3)),
+        (F(1, 2), F(1, 3), F(1, 4)),
+    ],
+)
+def test_mobius_pullback_case_matches_kimura(triple):
+    # Kimura's list shares no code with the Kovacic search: Case 4 exactly
+    # when it has no match, table family 1 dihedral, families 2-15 finite
+    rho = mobius_pullback(hypergeometric_rho(*triple))
+    assert rho.order_at_infinity() >= 4
+    assert [order for _, order in rho.poles()] == [2, 2, 2]
+    verdict = kimura_test(ExponentDiffs(*triple))
+    if not verdict.is_integrable:
+        expected = 4
+    else:
+        expected = 2 if verdict.detail["family"] == 1 else 3
+    assert solve_rlde(rho).case == expected
