@@ -197,14 +197,8 @@ def orth_lienard_field(row, n: int, mu) -> PlanarVectorField:
         raise ValueError("mu must be non-zero")
     lam = row.eigenvalue(n)
     return PlanarVectorField(
-        BivarPoly.from_w_coeffs([row.q]),
-        BivarPoly.from_w_coeffs(
-            [
-                Poly([lam / mu]) * row.q,
-                row.q.derivative() - row.l,
-                Poly([mu]),
-            ]
-        ),
+        BivarPoly([row.q]),
+        BivarPoly([row.q.scale(lam / mu), row.q.derivative() - row.l, mu]),
     )
 
 
@@ -214,9 +208,7 @@ def orth_invariant_curve(row, n: int, mu) -> AlgebraicCurve:
     mu = Scalar.coerce(mu)
     field = orth_lienard_field(row, n, mu)
     p_n = orth_polynomial(row, n)
-    f = BivarPoly.from_w_coeffs(
-        [row.q * p_n.derivative(), Poly([mu]) * p_n]
-    )
+    f = BivarPoly([row.q * p_n.derivative(), p_n.scale(mu)])
     return AlgebraicCurve.of(field, f)
 
 

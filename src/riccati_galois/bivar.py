@@ -2,106 +2,106 @@
 
 Used for the geometric side of the theory: invariant algebraic curves,
 cofactors and divergences of the vector field attached to a Riccati
-equation.  Representation is sparse: {(i, j): Scalar} for x^i * w^j.
+equation.  Representation is recursive (von zur Gathen & Gerhard,
+Modern Computer Algebra, ch. 6): a BivarPoly is a polynomial in w over
+Q[x], stored as its list of x-Polys, one per power of w, with no
+trailing zero.  Every coefficient operation is a Poly operation, so
+rational coefficients take Poly's integer kernel.
 """
+
+from itertools import zip_longest
 
 from .poly import Poly
 from .ratfunc import RatFunc
-from .scalars import Scalar
+
+_ZERO = Poly([])
 
 
 class BivarPoly:
-    __slots__ = ("terms",)
+    """sum w_coeffs[j](x) w^j; immutable."""
 
-    def __init__(self, terms):
-        clean = {}
-        for (i, j), c in terms.items():
-            c = Scalar.coerce(c)
-            if not c.is_zero():
-                clean[(i, j)] = c
-        self.terms = clean
+    __slots__ = ("_w",)
+
+    def __init__(self, w_coeffs):
+        cs = [Poly.coerce(p) for p in w_coeffs]
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        self._w = cs
 
     @classmethod
     def coerce(cls, v):
         if isinstance(v, BivarPoly):
             return v
-        if isinstance(v, Poly):
-            return cls({(i, 0): c for i, c in enumerate(v.coeffs)})
-        return cls({(0, 0): Scalar.coerce(v)})
+        return cls([v])
 
     @classmethod
     def var_x(cls):
-        return cls({(1, 0): 1})
+        return cls([Poly.x()])
 
     @classmethod
     def var_w(cls):
-        return cls({(0, 1): 1})
-
-    @classmethod
-    def from_w_coeffs(cls, coeffs):
-        """Build from a list of univariate Polys in x: sum coeffs[j](x) w^j."""
-        terms = {}
-        for j, p in enumerate(coeffs):
-            p = Poly.coerce(p)
-            for i, c in enumerate(p.coeffs):
-                terms[(i, j)] = terms.get((i, j), Scalar.coerce(0)) + c
-        return cls(terms)
+        return cls([0, 1])
 
     def w_coeffs(self):
-        """Inverse of from_w_coeffs: list of Polys in x indexed by w power."""
-        top = self.degree_w()
-        if top < 0:
-            return []
-        out = []
-        for j in range(top + 1):
-            entries = {}
-            for (i, jj), c in self.terms.items():
-                if jj == j:
-                    entries[i] = c
-            if entries:
-                n = max(entries) + 1
-                out.append(Poly([entries.get(i, 0) for i in range(n)]))
-            else:
-                out.append(Poly([]))
-        return out
+        """The x-Polys indexed by w power, as a new list."""
+        return list(self._w)
+
+    @property
+    def terms(self):
+        """Read-only view {(i, j): Scalar} of the x^i w^j coefficients."""
+        return {
+            (i, j): c
+            for j, p in enumerate(self._w)
+            for i, c in enumerate(p.coeffs)
+            if not c.is_zero()
+        }
 
     def is_zero(self):
-        return not self.terms
+        return not self._w
 
     def degree_x(self):
-        return max((i for i, _ in self.terms), default=-1)
+        return max((p.degree() for p in self._w), default=-1)
 
     def degree_w(self):
-        return max((j for _, j in self.terms), default=-1)
+        return len(self._w) - 1
 
     def total_degree(self):
-        return max((i + j for i, j in self.terms), default=-1)
+        return max(
+            (p.degree() + j for j, p in enumerate(self._w) if not p.is_zero()),
+            default=-1,
+        )
 
     def __add__(self, other):
         other = BivarPoly.coerce(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Scalar.coerce(0)) + c
-        return BivarPoly(out)
+        return BivarPoly(
+            [a + b for a, b in zip_longest(self._w, other._w, fillvalue=_ZERO)]
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BivarPoly({k: -c for k, c in self.terms.items()})
+        return BivarPoly([-p for p in self._w])
 
     def __sub__(self, other):
-        return self + (-BivarPoly.coerce(other))
+        other = BivarPoly.coerce(other)
+        return BivarPoly(
+            [a - b for a, b in zip_longest(self._w, other._w, fillvalue=_ZERO)]
+        )
 
     def __rsub__(self, other):
-        return BivarPoly.coerce(other) + (-self)
+        return BivarPoly.coerce(other) - self
 
     def __mul__(self, other):
         other = BivarPoly.coerce(other)
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Scalar.coerce(0)) + c1 * c2
+        if self.is_zero() or other.is_zero():
+            return BivarPoly([])
+        out = [_ZERO] * (len(self._w) + len(other._w) - 1)
+        for i, a in enumerate(self._w):
+            if a.is_zero():
+                continue
+            for j, b in enumerate(other._w):
+                c = out[i + j]
+                out[i + j] = a * b if c is _ZERO else c + a * b
         return BivarPoly(out)
 
     __rmul__ = __mul__
@@ -109,13 +109,14 @@ class BivarPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = BivarPoly.coerce(1)
+        result = BivarPoly([1])
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -123,65 +124,59 @@ class BivarPoly:
             other = BivarPoly.coerce(other)
         except TypeError:
             return NotImplemented
-        return (self - other).is_zero()
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
+        return self._w == other._w
 
     def __hash__(self):
-        return hash(frozenset((k, c.key()) for k, c in self.terms.items()))
+        return hash(tuple(self._w))
 
     def d_dx(self):
-        return BivarPoly(
-            {(i - 1, j): i * c for (i, j), c in self.terms.items() if i > 0}
-        )
+        return BivarPoly([p.derivative() for p in self._w])
 
     def d_dw(self):
-        return BivarPoly(
-            {(i, j - 1): j * c for (i, j), c in self.terms.items() if j > 0}
-        )
+        return BivarPoly([p.scale(j) for j, p in enumerate(self._w[1:], 1)])
 
     def substitute_w(self, value: RatFunc) -> RatFunc:
         """Evaluate at w = value(x); returns a rational function of x."""
         value = RatFunc.coerce(value)
         acc = RatFunc.coerce(0)
-        for j, p in enumerate(self.w_coeffs()):
-            acc = acc + RatFunc.coerce(p) * value**j
+        for p in reversed(self._w):
+            acc = acc * value + RatFunc.coerce(p)
         return acc
 
     def exact_div(self, divisor: "BivarPoly"):
-        """Exact multivariate division; None if the division fails.
+        """The quotient self / divisor, or None if it is not a polynomial.
 
-        Single-divisor division with lex order (w before x): sound for
-        the cofactor computations here because we only accept a clean
-        zero remainder.
+        Division in (Q[x])[w]: each step divides the top w-coefficient
+        of the remainder by the divisor's in Q[x].  An exact quotient is
+        unique, so any exact division algorithm returns this one.
         """
         divisor = BivarPoly.coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = self
-        quot = {}
-        lead_key = max(divisor.terms, key=lambda k: (k[1], k[0]))
-        lead_c = divisor.terms[lead_key]
-        while not rem.is_zero():
-            rk = max(rem.terms, key=lambda k: (k[1], k[0]))
-            di = rk[0] - lead_key[0]
-            dj = rk[1] - lead_key[1]
-            if di < 0 or dj < 0:
+        d = divisor._w
+        top = len(d) - 1
+        rem = list(self._w)
+        quot = [_ZERO] * (len(rem) - top)
+        for k in range(len(quot) - 1, -1, -1):
+            q, r = rem[k + top].divmod(d[top])
+            if not r.is_zero():
                 return None
-            c = rem.terms[rk] / lead_c
-            quot[(di, dj)] = quot.get((di, dj), Scalar.coerce(0)) + c
-            rem = rem - BivarPoly({(di, dj): c}) * divisor
+            quot[k] = q
+            if not q.is_zero():
+                for j in range(top):
+                    rem[k + j] = rem[k + j] - q * d[j]
+        if any(not p.is_zero() for p in rem[:top]):
+            return None
         return BivarPoly(quot)
 
     def __str__(self):
         if self.is_zero():
             return "0"
-        keys = sorted(self.terms, key=lambda k: (-(k[0] + k[1]), -k[1], -k[0]))
+        terms = self.terms
+        keys = sorted(terms, key=lambda k: (-(k[0] + k[1]), -k[1], -k[0]))
         parts = []
         for i, j in keys:
-            c = self.terms[(i, j)]
+            c = terms[(i, j)]
             bits = []
             if i:
                 bits.append("x" if i == 1 else "x^%d" % i)
@@ -269,6 +264,11 @@ class BivarRatFunc:
     def __rtruediv__(self, other):
         return BivarRatFunc.coerce(other) / self
 
+    def __pow__(self, n: int):
+        if n < 0:
+            return (1 / self) ** (-n)
+        return BivarRatFunc(self.num**n, self.den**n)
+
     def __eq__(self, other):
         try:
             other = BivarRatFunc.coerce(other)
@@ -276,21 +276,18 @@ class BivarRatFunc:
             return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero()
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
+    def _derivative(self, d):
+        """The quotient rule for the partial derivative d of BivarPoly."""
+        return BivarRatFunc(
+            d(self.num) * self.den - self.num * d(self.den),
+            self.den * self.den,
+        )
 
     def d_dx(self):
-        return BivarRatFunc(
-            self.num.d_dx() * self.den - self.num * self.den.d_dx(),
-            self.den * self.den,
-        )
+        return self._derivative(BivarPoly.d_dx)
 
     def d_dw(self):
-        return BivarRatFunc(
-            self.num.d_dw() * self.den - self.num * self.den.d_dw(),
-            self.den * self.den,
-        )
+        return self._derivative(BivarPoly.d_dw)
 
     def __str__(self):
         if self.den == 1:

@@ -141,17 +141,12 @@ def darboux_combination(curves, expfactors, field, kind):
     for c in cofs:
         common = common * c.den
     common = common * rhs_fn.den
-    nums = []
-    for c in cofs:
-        scaled = common.exact_div(c.den)
-        nums.append(c.num * scaled)
-    rhs_num = rhs_fn.num * common.exact_div(rhs_fn.den)
-    monomials = set(rhs_num.terms)
-    for n in nums:
-        monomials.update(n.terms)
-    monomials = sorted(monomials)
-    rows = [[n.terms.get(mon, Scalar.coerce(0)) for n in nums] for mon in monomials]
-    rhs = [-rhs_num.terms.get(mon, Scalar.coerce(0)) for mon in monomials]
+    num_terms = [(c.num * common.exact_div(c.den)).terms for c in cofs]
+    rhs_terms = (rhs_fn.num * common.exact_div(rhs_fn.den)).terms
+    monomials = sorted(set(rhs_terms).union(*num_terms))
+    zero = Scalar.coerce(0)
+    rows = [[t.get(mon, zero) for t in num_terms] for mon in monomials]
+    rhs = [-rhs_terms.get(mon, zero) for mon in monomials]
     if kind == DarbouxObject.FIRST_INTEGRAL:
         if not monomials:
             # every cofactor vanished: any single curve already works
@@ -178,6 +173,11 @@ def riccati_field(r: RatFunc) -> PlanarVectorField:
     q = BivarPoly.coerce(r.den)
     w2 = BivarPoly.var_w() ** 2
     return PlanarVectorField(q, p - q * w2)
+
+
+def _solution_line(w: RatFunc) -> BivarPoly:
+    """-w + w_i cleared to den(w_i): num(w_i) - den(w_i) w."""
+    return BivarPoly([w.num, -w.den])
 
 
 def _check_riccati_shape(field: PlanarVectorField) -> RatFunc:
@@ -216,12 +216,7 @@ class RiccatiIntegratingFactor:
         def apply_normalized(f):
             return f.d_dx() + flow * f.d_dw()
 
-        # f1 = -w + w1 cleared to den(w1): ft = -den(w1) w + num(w1)
-        ft = BivarRatFunc(
-            BivarPoly.coerce(self.w1.num)
-            - BivarPoly.coerce(self.w1.den) * BivarPoly.var_w(),
-            1,
-        )
+        ft = BivarRatFunc(_solution_line(self.w1))
         den = BivarRatFunc.coerce(RatFunc(self.w1.den))
         return (
             BivarRatFunc.coerce(-2 * self.w1)
@@ -264,12 +259,9 @@ class RiccatiFirstIntegral:
 
     def log_derivative_along(self, field: PlanarVectorField) -> BivarRatFunc:
         q = BivarRatFunc.coerce(RatFunc(field.p.w_coeffs()[0]))
-        wv = BivarPoly.var_w()
 
         def piece(wi):
-            ft = BivarRatFunc(
-                BivarPoly.coerce(wi.num) - BivarPoly.coerce(wi.den) * wv, 1
-            )
+            ft = BivarRatFunc(_solution_line(wi))
             den = BivarRatFunc.coerce(RatFunc(wi.den))
             return field.apply(ft) / ft - field.apply(den) / den
 
@@ -287,9 +279,9 @@ class RiccatiFirstIntegral:
         )
 
 
-def first_integral_two_solutions(
-    w1, w2, field: PlanarVectorField
-) -> RiccatiFirstIntegral:
+def _two_solutions(w1, w2, field: PlanarVectorField):
+    """(w1, w2) as RatFuncs once both solve the field's Riccati equation
+    and differ; raises NotASolutionError or DegenerateError otherwise."""
     r = _check_riccati_shape(field)
     w1 = RatFunc.coerce(w1)
     w2 = RatFunc.coerce(w2)
@@ -298,7 +290,13 @@ def first_integral_two_solutions(
             raise NotASolutionError("%s does not solve w' = r - w^2" % w)
     if w1 == w2:
         raise DegenerateError("the two solutions coincide")
-    return RiccatiFirstIntegral(w1, w2)
+    return w1, w2
+
+
+def first_integral_two_solutions(
+    w1, w2, field: PlanarVectorField
+) -> RiccatiFirstIntegral:
+    return RiccatiFirstIntegral(*_two_solutions(w1, w2, field))
 
 
 def rational_first_integral_cyclic(g: RatFunc, n: int) -> BivarRatFunc:
@@ -318,10 +316,7 @@ def rational_first_integral_cyclic(g: RatFunc, n: int) -> BivarRatFunc:
     wv = BivarRatFunc.coerce(BivarPoly.var_w())
     a = -n * gb * wv - gpb
     b = -n * gb * wv + gpb
-    acc = BivarRatFunc.coerce(1)
-    for _ in range(n):
-        acc = acc * (a / b)
-    return acc / (gb * gb)
+    return (a / b) ** n / (gb * gb)
 
 
 def rational_first_integral_power(w1, w2, n: int, field: PlanarVectorField):
@@ -329,30 +324,13 @@ def rational_first_integral_power(w1, w2, n: int, field: PlanarVectorField):
     difference integrates to a logarithm: when exp(int n(w2 - w1) dx)
     is a rational function g, H = ((-w + w2)/(-w + w1))^n * g satisfies
     X(H) = 0 exactly.  Raises ValueError when no such g exists."""
-    r = _check_riccati_shape(field)
-    w1 = RatFunc.coerce(w1)
-    w2 = RatFunc.coerce(w2)
-    for w in (w1, w2):
-        if not (w.derivative() + w * w - r).is_zero():
-            raise NotASolutionError("%s does not solve w' = r - w^2" % w)
-    if w1 == w2:
-        raise DegenerateError("the two solutions coincide")
+    w1, w2 = _two_solutions(w1, w2, field)
     g = exp_integral_as_rational(n * (w2 - w1))
     if g is None:
         raise ValueError("exp(int n(w2 - w1)) is not rational")
-    wv = BivarPoly.var_w()
-    f1 = BivarRatFunc(
-        BivarPoly.coerce(w1.num) - BivarPoly.coerce(w1.den) * wv,
-        BivarPoly.coerce(w1.den),
-    )
-    f2 = BivarRatFunc(
-        BivarPoly.coerce(w2.num) - BivarPoly.coerce(w2.den) * wv,
-        BivarPoly.coerce(w2.den),
-    )
-    acc = BivarRatFunc.coerce(g)
-    for _ in range(n):
-        acc = acc * (f2 / f1)
-    return acc
+    f1 = BivarRatFunc(_solution_line(w1), w1.den)
+    f2 = BivarRatFunc(_solution_line(w2), w2.den)
+    return BivarRatFunc.coerce(g) * (f2 / f1) ** n
 
 
 def exp_integral_as_rational(f: RatFunc):

@@ -207,18 +207,7 @@ def _evaluate(node, env, coerce, to_scalar):
             raise ParseError("sqrt of a non-constant expression", 0)
         return coerce(value.sqrt())
     if op == "pow":
-        base = _evaluate(node[1], env, coerce, to_scalar)
-        exponent = _eval_int(node[2])
-        if exponent < 0:
-            base = coerce(1) / base
-            exponent = -exponent
-        result = coerce(1)
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return _evaluate(node[1], env, coerce, to_scalar) ** _eval_int(node[2])
     left = _evaluate(node[1], env, coerce, to_scalar)
     right = _evaluate(node[2], env, coerce, to_scalar)
     if op == "add":
@@ -280,19 +269,23 @@ def parse_scalar(src, params=None) -> Scalar:
 def _component_to_poly(value: BivarRatFunc, at) -> BivarPoly:
     if value.den.total_degree() > 0:
         raise ParseError("vector field components must be polynomial", at)
-    unit = value.den.terms.get((0, 0))
-    if unit is None:
-        raise ParseError("vector field component divides by zero", at)
+    # a nonzero denominator of total degree 0 is a nonzero constant
+    unit = value.den.terms[(0, 0)]
     return value.num * BivarPoly.coerce(Scalar.coerce(1) / unit)
+
+
+def _bivar_env(params):
+    """Bindings for x, the fiber y (also w) and the parameters."""
+    env = _param_env(params, BivarRatFunc.coerce)
+    env["x"] = BivarRatFunc.coerce(BivarPoly.var_x())
+    env["y"] = env["w"] = BivarRatFunc.coerce(BivarPoly.var_w())
+    return env
 
 
 def parse_bivarpoly(src, params=None) -> BivarPoly:
     """A polynomial in the variables x and y (fiber also accepted as
     w), e.g. an algebraic-curve equation."""
-    env = _param_env(params, BivarRatFunc.coerce)
-    env["x"] = BivarRatFunc.coerce(BivarPoly.var_x())
-    env["y"] = BivarRatFunc.coerce(BivarPoly.var_w())
-    env["w"] = env["y"]
+    env = _bivar_env(params)
     value = BivarRatFunc.coerce(
         _evaluate(parse(src), env, BivarRatFunc.coerce, _bivar_to_scalar)
     )
@@ -302,10 +295,7 @@ def parse_bivarpoly(src, params=None) -> BivarPoly:
 def parse_vectorfield(src, params=None) -> PlanarVectorField:
     """Two semicolon-separated polynomial components P; Q in the
     variables x and y (the fiber variable is also accepted as w)."""
-    env = _param_env(params, BivarRatFunc.coerce)
-    env["x"] = BivarRatFunc.coerce(BivarPoly.var_x())
-    env["y"] = BivarRatFunc.coerce(BivarPoly.var_w())
-    env["w"] = env["y"]
+    env = _bivar_env(params)
     parser = _Parser(_tokenize(src))
     first = parser.expression()
     parser.expect_op(";")

@@ -29,10 +29,6 @@ class FormalProduct:
         self.integrand = RatFunc.coerce(integrand)
 
     @classmethod
-    def exp_integral(cls, integrand):
-        return cls(1, (), integrand)
-
-    @classmethod
     def power(cls, base, exp):
         return cls(1, ((base, exp),), 0)
 
@@ -70,21 +66,6 @@ class FormalProduct:
         acc = self.integrand
         for base, exp in self.powers:
             acc = acc + base.derivative() / base * RatFunc.coerce(exp)
-        return acc
-
-    def is_rational_function(self):
-        """A RatFunc equal to this product, if one exists, else None.
-
-        Requires the exponential part to vanish and all exponents to be
-        integers.
-        """
-        if not self.integrand.is_zero():
-            return None
-        acc = RatFunc.coerce(self.constant)
-        for base, exp in self.powers:
-            if not exp.is_integer():
-                return None
-            acc = acc * base ** int(exp.as_fraction())
         return acc
 
     def __str__(self):

@@ -116,9 +116,6 @@ class AffineSubstitution:
     def apply(self, w: RatFunc) -> RatFunc:
         return self.alpha + self.beta * RatFunc.coerce(w)
 
-    def invert(self, v: RatFunc) -> RatFunc:
-        return (RatFunc.coerce(v) - self.alpha) / self.beta
-
     def __repr__(self):
         return "v = (%s) + (%s) w" % (self.alpha, self.beta)
 
@@ -182,7 +179,11 @@ class Foliation:
 
 
 def _transpose(f: BivarPoly) -> BivarPoly:
-    return BivarPoly({(j, i): c for (i, j), c in f.terms.items()})
+    """f with x and w exchanged."""
+    rows = f.w_coeffs()
+    return BivarPoly(
+        [Poly([p.coeff(i) for p in rows]) for i in range(f.degree_x() + 1)]
+    )
 
 
 def _try_orientation(p: BivarPoly, q: BivarPoly):

@@ -211,8 +211,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, s) -> "Poly":
@@ -688,15 +689,14 @@ def rational_roots(p: Poly):
     return roots
 
 
-def roots_with_multiplicity(p: Poly, allow_adjoin=True):
+def roots_with_multiplicity(p: Poly):
     """Split a polynomial into linear factors over the coefficient tower.
 
     Returns (roots, leading) where roots is a list of (Scalar root, int
     multiplicity).  Rational roots are peeled off first; what remains is
     split with the quadratic formula, adjoining at most one square root
-    per quadratic factor when allow_adjoin is set.  Raises
-    UnsupportedFieldError if an irreducible factor of degree >= 3 with no
-    rational root remains.
+    per quadratic factor.  Raises UnsupportedFieldError if an
+    irreducible factor of degree >= 3 with no rational root remains.
     """
     p = Poly.coerce(p)
     if p.is_zero():
@@ -717,15 +717,7 @@ def roots_with_multiplicity(p: Poly, allow_adjoin=True):
         if rem.degree() == 2:
             a, b, c = rem.coeff(2), rem.coeff(1), rem.coeff(0)
             disc = b * b - 4 * a * c
-            if allow_adjoin:
-                sq = disc.sqrt()
-            else:
-                sq = disc.sqrt_in_field()
-                if sq is None:
-                    raise UnsupportedFieldError(
-                        "quadratic factor %s does not split in the working field"
-                        % rem
-                    )
+            sq = disc.sqrt()
             found.append(((-b + sq) / (2 * a), mult))
             found.append(((-b - sq) / (2 * a), mult))
             continue

@@ -67,12 +67,6 @@ class RatFunc:
             raise ValueError("not a polynomial: %s" % self)
         return self.num
 
-    def is_constant(self):
-        return self.is_polynomial() and self.num.degree() <= 0
-
-    def as_scalar(self) -> Scalar:
-        return self.as_poly().coeff(0)
-
     def __add__(self, other):
         # Henrici: with g = gcd(den1, den2) the sum is
         # (num1 * den2/g + num2 * den1/g) / (den1 * den2/g), and any

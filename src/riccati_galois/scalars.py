@@ -401,12 +401,12 @@ class Scalar:
 
     # -- roots -------------------------------------------------------------
 
-    def sqrt(self, max_depth: int | None = None) -> "Scalar":
+    def sqrt(self) -> "Scalar":
         """Square root, adjoining one extension level when necessary."""
         root = self.sqrt_in_field()
         if root is not None:
             return root
-        return _adjoin_sqrt(self, max_depth)
+        return _adjoin_sqrt_in(self, self.tower)
 
     def sqrt_in_field(self, working: Tower | None = None):
         """Square root within the (given or own) tower, or None."""
@@ -499,12 +499,8 @@ def _apply_images(s: Scalar, images: dict) -> Scalar:
     return _apply_images(lo, images) + _apply_images(hi, images) * gen
 
 
-def _adjoin_sqrt(s: Scalar, max_depth: int | None = None) -> Scalar:
-    return _adjoin_sqrt_in(s, s.tower, max_depth)
-
-
-def _adjoin_sqrt_in(s: Scalar, working: Tower, max_depth: int | None = None) -> Scalar:
-    limit = _max_tower_depth if max_depth is None else max_depth
+def _adjoin_sqrt_in(s: Scalar, working: Tower) -> Scalar:
+    limit = _max_tower_depth
     if s.is_zero():
         return ZERO
     if s.is_rational():
@@ -543,5 +539,5 @@ def render_scalar(s: Scalar) -> str:
     return f"({render_scalar(lo)})+{hi_txt}"
 
 
-def scalar_sqrt(x, max_depth: int | None = None) -> Scalar:
-    return Scalar.coerce(x).sqrt(max_depth)
+def scalar_sqrt(x) -> Scalar:
+    return Scalar.coerce(x).sqrt()

@@ -141,18 +141,18 @@ class TestOrthCurves:
     def test_degree_zero_curve(self):
         row = orth_family("L")
         curve = orth_invariant_curve(row, 0, 3)
-        assert curve.f == BivarPoly.from_w_coeffs([Poly([]), Poly([3])])
+        assert curve.f == BivarPoly([Poly([]), Poly([3])])
 
     def test_hermite_degree_one(self):
         curve = orth_invariant_curve(orth_family("H"), 1, 1)
         # P_1 = x, so f = w x + 1
-        assert curve.f == BivarPoly.from_w_coeffs([Poly([1]), X])
+        assert curve.f == BivarPoly([Poly([1]), X])
 
     def test_legendre_degree_two(self):
         row = orth_family("P")
         curve = orth_invariant_curve(row, 2, 2)
         p2 = orth_polynomial(row, 2)
-        expected = BivarPoly.from_w_coeffs(
+        expected = BivarPoly(
             [row.q * p2.derivative(), Poly([2]) * p2]
         )
         assert curve.f == expected

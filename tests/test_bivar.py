@@ -1,10 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riccati_galois.bivar import BivarPoly, BivarRatFunc, PlanarVectorField
+from riccati_galois.odeforms import _transpose
 from riccati_galois.poly import Poly
 from riccati_galois.ratfunc import RatFunc
+from riccati_galois.scalars import scalar_sqrt
 
 
 XV = BivarPoly.var_x()
@@ -15,7 +18,7 @@ class TestBivarPoly:
     def test_ring_ops(self):
         f = XV * WV + 1
         g = XV - WV
-        assert f + g == BivarPoly({(1, 1): 1, (0, 0): 1, (1, 0): 1, (0, 1): -1})
+        assert f + g == BivarPoly([Poly([1, 1]), Poly([-1, 1])])
         assert f * g == XV**2 * WV - XV * WV**2 + XV - WV
         assert (f - f).is_zero()
 
@@ -33,10 +36,10 @@ class TestBivarPoly:
     def test_w_coeffs_roundtrip(self):
         p0 = Poly([1, 2])
         p1 = Poly([0, 0, 3])
-        f = BivarPoly.from_w_coeffs([p0, p1])
+        f = BivarPoly([p0, p1])
         back = f.w_coeffs()
         assert back[0] == p0 and back[1] == p1
-        assert BivarPoly.from_w_coeffs(back) == f
+        assert BivarPoly(back) == f
 
     def test_substitute_w(self):
         f = WV**2 - XV
@@ -52,6 +55,43 @@ class TestBivarPoly:
     def test_str(self):
         assert str(XV * WV - 1) == "x*w - 1"
         assert str(BivarPoly.coerce(0)) == "0"
+
+
+# degree <= 3 in each variable, small rational coefficients
+rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+bivars = st.lists(
+    st.lists(rationals, max_size=4).map(Poly), max_size=4
+).map(BivarPoly)
+V = RatFunc(Poly([1, 0, 1]), Poly([-1, 2]))
+
+
+def check_ring_laws(f, g):
+    # substitute_w is a ring map to Q(x), whose arithmetic is RatFunc's
+    fv, gv = f.substitute_w(V), g.substitute_w(V)
+    assert (f + g).substitute_w(V) == fv + gv
+    assert (f * g).substitute_w(V) == fv * gv
+    assert f * g == g * f and hash(f * g) == hash(g * f)
+    if not g.is_zero():
+        assert (f * g).exact_div(g) == f
+    if g.degree_w() > 0:
+        assert (f * g + 1).exact_div(g) is None
+    assert (f * g).d_dx() == f.d_dx() * g + f * g.d_dx()
+    assert (f * g).d_dw() == f.d_dw() * g + f * g.d_dw()
+    assert _transpose(_transpose(f)) == f
+
+
+class TestBivarProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(bivars, bivars)
+    def test_ring_laws(self, f, g):
+        check_ring_laws(f, g)
+
+    def test_ring_laws_over_sqrt2(self):
+        r2 = scalar_sqrt(2)
+        f = BivarPoly([Poly([1, r2]), Poly([r2]), Poly([F(1, 2)])])
+        g = BivarPoly([Poly([-r2, 0, 1]), Poly([1, 1 + r2])])
+        check_ring_laws(f, g)
+        check_ring_laws(g, f)
 
 
 class TestBivarRatFunc:

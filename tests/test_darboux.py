@@ -1,8 +1,13 @@
+import contextlib
+import io
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riccati_galois import cli
 from riccati_galois.bivar import BivarPoly, BivarRatFunc, PlanarVectorField
 from riccati_galois.darboux import (
     AlgebraicCurve,
@@ -334,3 +339,23 @@ class TestClassification:
         for w in (c.w1, c.w2):
             assert (w.derivative() + w * w - r).is_zero()
         assert c.w1 != c.w2
+
+
+# Full `--json --no-timing` stdout of darboux and apply runs, pinned so
+# that a change to the bivariate arithmetic shows as a changed string:
+# every verdict, a non-invariant curve, sqrt(2) coefficients and a
+# rational --param.
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "darboux_pinned.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "row", PINNED, ids=[" ".join(r["argv"]) for r in PINNED]
+)
+def test_pinned_output(row):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(row["argv"] + ["--json", "--no-timing"])
+    assert code == 0
+    assert out.getvalue() == row["stdout"]
