@@ -26,6 +26,12 @@ class ParseError(SyntaxError):
         self.position = position
 
 
+# The largest exponent, and the largest degree a power may produce: far
+# above the degrees of any input the package is meant for, and low
+# enough that a short input cannot run for hours.
+MAX_EXPONENT = 1000
+
+
 # -- tokenizer -------------------------------------------------------------
 
 _OPERATORS = set("+-*/^();")
@@ -116,12 +122,12 @@ class _Parser:
 
     def power(self):
         node = self.atom()
-        kind, value, _ = self.peek()
+        kind, value, at = self.peek()
         if kind == "op" and value == "^":
             self.next()
             # right-associative; the exponent must reduce to an integer
             exponent = self.unary()
-            return ("pow", node, exponent)
+            return ("pow", node, exponent, at)
         return node
 
     def atom(self):
@@ -136,8 +142,8 @@ class _Parser:
                 self.next()
                 arg = self.expression()
                 self.expect_op(")")
-                return ("sqrt", arg)
-            return ("sym", value)
+                return ("sqrt", arg, at)
+            return ("sym", value, at)
         if kind == "op" and value == "(":
             node = self.expression()
             self.expect_op(")")
@@ -169,15 +175,17 @@ def parse(src):
 # -- evaluation ------------------------------------------------------------
 
 
-def _eval_int(node):
-    """Exponent subtrees: integer arithmetic only."""
+def _eval_int(node, at):
+    """Exponent subtrees: integer arithmetic only; at is the position of
+    the enclosing ^."""
     op = node[0]
     if op == "int":
         return node[1]
     if op == "neg":
-        return -_eval_int(node[1])
+        return -_eval_int(node[1], at)
     if op in ("add", "sub", "mul", "pow"):
-        a, b = _eval_int(node[1]), _eval_int(node[2])
+        inner = node[3] if op == "pow" else at
+        a, b = _eval_int(node[1], inner), _eval_int(node[2], inner)
         if op == "add":
             return a + b
         if op == "sub":
@@ -185,9 +193,30 @@ def _eval_int(node):
         if op == "mul":
             return a * b
         if b < 0:
-            raise ParseError("negative exponent in an exponent", 0)
-        return a ** b
-    raise ParseError("exponent must be an integer expression", 0)
+            raise ParseError("negative exponent in an exponent", inner)
+        # |a|^b > MAX_EXPONENT once |a| or b is too large, so the check
+        # computes no power above MAX_EXPONENT^(bit length of MAX_EXPONENT)
+        if b > 1 and abs(a) > 1 and (
+            abs(a) > MAX_EXPONENT
+            or b > MAX_EXPONENT.bit_length()
+            or abs(a) ** b > MAX_EXPONENT
+        ):
+            raise ParseError(
+                "power in an exponent above %d" % MAX_EXPONENT, inner
+            )
+        return a**b
+    raise ParseError(
+        "exponent must be an integer expression",
+        node[-1] if op in ("sym", "sqrt") else at,
+    )
+
+
+def _degree(value):
+    """The larger degree of value's numerator and denominator (total
+    degree for bivariate values)."""
+    if isinstance(value, RatFunc):
+        return max(value.num.degree(), value.den.degree())
+    return max(value.num.total_degree(), value.den.total_degree())
 
 
 def _evaluate(node, env, coerce, to_scalar):
@@ -196,7 +225,7 @@ def _evaluate(node, env, coerce, to_scalar):
         return coerce(node[1])
     if op == "sym":
         if node[1] not in env:
-            raise ParseError("unbound symbol %r" % node[1], 0)
+            raise ParseError("unbound symbol %r" % node[1], node[2])
         return env[node[1]]
     if op == "neg":
         return -_evaluate(node[1], env, coerce, to_scalar)
@@ -204,10 +233,17 @@ def _evaluate(node, env, coerce, to_scalar):
         arg = _evaluate(node[1], env, coerce, to_scalar)
         value = to_scalar(arg)
         if value is None:
-            raise ParseError("sqrt of a non-constant expression", 0)
+            raise ParseError("sqrt of a non-constant expression", node[2])
         return coerce(value.sqrt())
     if op == "pow":
-        return _evaluate(node[1], env, coerce, to_scalar) ** _eval_int(node[2])
+        _, base_node, exponent_node, at = node
+        base = coerce(_evaluate(base_node, env, coerce, to_scalar))
+        exponent = _eval_int(exponent_node, at)
+        if abs(exponent) * max(_degree(base), 1) > MAX_EXPONENT:
+            raise ParseError(
+                "exponent or degree of a power above %d" % MAX_EXPONENT, at
+            )
+        return base**exponent
     left = _evaluate(node[1], env, coerce, to_scalar)
     right = _evaluate(node[2], env, coerce, to_scalar)
     if op == "add":
@@ -297,18 +333,20 @@ def parse_vectorfield(src, params=None) -> PlanarVectorField:
     variables x and y (the fiber variable is also accepted as w)."""
     env = _bivar_env(params)
     parser = _Parser(_tokenize(src))
+    first_at = parser.peek()[2]
     first = parser.expression()
     parser.expect_op(";")
+    second_at = parser.peek()[2]
     second = parser.expression()
     kind, _, at = parser.peek()
     if kind != "end":
         raise ParseError("unexpected trailing input", at)
     components = []
-    for node in (first, second):
+    for node, at in ((first, first_at), (second, second_at)):
         value = BivarRatFunc.coerce(
             _evaluate(node, env, BivarRatFunc.coerce, _bivar_to_scalar)
         )
-        components.append(_component_to_poly(value, 0))
+        components.append(_component_to_poly(value, at))
     return PlanarVectorField(components[0], components[1])
 
 

@@ -10,9 +10,11 @@ Cases 1-3 share one search, _search (Kovacic 1986, sections 3-4; Ulmer
 & Weil 1996), with three parameters: the options at each point (local
 exponents, finite poles first, tagged with what the certificate needs),
 the degree map m = scale * (e_inf - sum e_c) and a candidate builder
-(operator, monic kernel polynomial of degree m, check).  Cases 2 and 3
-share _exponent_sets.  Case 2 keeps Kovacic's 2 + k sqrt(1 + 4b), scale
-1/2: rescaled sets sort (Scalar.sort_key) into another candidate order.
+(operator, monic kernel polynomial of degree m, check); it tests m on
+integers.  Cases 2 and 3 share _exponent_sets.  Case 2 keeps Kovacic's
+2 + k sqrt(1 + 4b), scale 1/2: rescaled sets sort (Scalar.sort_key)
+into another candidate order.  Case 3 runs Kovacic's P_i recursion on
+integer lists (_case3_chain), for the operator and the certificate.
 
 Every positive answer carries an exact certificate and is re-verified
 symbolically before being returned:
@@ -24,14 +26,14 @@ symbolically before being returned:
 
 from fractions import Fraction
 from functools import partial
-from math import factorial
+from math import factorial, lcm as ilcm
 
 from .formal import FormalIntegral, FormalProduct
 from .linalg import solve
 from .odeforms import ReducedODE
-from .poly import Poly, lcm
+from .poly import Poly, _rational_coeffs, lcm
 from .ratfunc import RatFunc
-from .scalars import Scalar
+from .scalars import QQ, Scalar
 
 INFINITY = "infinity"
 
@@ -171,11 +173,12 @@ def _order2_root(r: RatFunc, point):
     return (1 + 4 * coeffs[0]).sqrt()
 
 
-def classify_point_case1(r: RatFunc, point) -> LocalData:
+def classify_point_case1(r: RatFunc, point, order=None) -> LocalData:
     """Local exponent data for Case 1 at a finite point or INFINITY.
 
     subcase is None when the point rules Case 1 out (odd pole order
-    >= 3, or an odd growth order at infinity).
+    >= 3, or an odd growth order at infinity).  order, the pole order
+    at a finite point, is computed when not given.
     """
     zero = Scalar.coerce(0)
     if point is INFINITY:
@@ -199,7 +202,8 @@ def classify_point_case1(r: RatFunc, point) -> LocalData:
         return LocalData(point, None, None, None, None)
 
     c = Scalar.coerce(point)
-    order = r.pole_order(c)
+    if order is None:
+        order = r.pole_order(c)
     if order == 0:
         return LocalData(c, "c0", RatFunc.coerce(0), zero, zero)
     if order == 1:
@@ -224,10 +228,12 @@ def classify_point_case1(r: RatFunc, point) -> LocalData:
     return LocalData(c, None, None, None, None)
 
 
-def _monic_poly_solution(op, m):
-    """Monic degree-m polynomial in the kernel of the linear operator op,
-    or None.  op maps Poly -> RatFunc."""
-    images = [RatFunc.coerce(op(Poly.monomial(1, j))) for j in range(m + 1)]
+def _monic_poly_solution(images):
+    """Monic polynomial of degree m = len(images) - 1 in the kernel of a
+    linear operator, or None; images[j] is the image of x^j, a Poly or a
+    RatFunc."""
+    m = len(images) - 1
+    images = [RatFunc.coerce(im) for im in images]
     den = Poly([1])
     for im in images:
         den = lcm(den, im.den)
@@ -260,24 +266,55 @@ def verify_case1(r: RatFunc, omega: RatFunc, p: Poly) -> bool:
     return lhs.is_zero()
 
 
+def _images(op, m):
+    """op(x^j) for j = 0..m."""
+    return [op(Poly.monomial(1, j)) for j in range(m + 1)]
+
+
+def _rational_part(e: Scalar) -> Fraction:
+    """The coordinate of e on 1 in its tower's basis, i.e. its trace
+    over Q divided by the degree: Q-linear, and the same in every tower
+    that holds e."""
+    while e.tower is not QQ:
+        e = e.val[0]
+    return e.val
+
+
 def _search(exponents, tags, scale, build):
     """First non-None build(tags of a choice, m) over the choices of one
     exponent per point (tags[i][j] goes with exponents[i][j]) of integer
-    degree m >= 0, in (m, product index) order.  The walk keeps partial
-    sums of the finite exponents, so each prefix is summed once."""
-    finite, at_inf = exponents[:-1], exponents[-1]
+    degree m = scale * (e_inf - sum e_c) >= 0, in (m, product index)
+    order.  The walk keeps partial sums of the rational parts of the
+    finite exponents, as integers over one common denominator; when an
+    exponent is irrational, the surds of a passing choice must cancel."""
+    rational = [[_rational_part(e) for e in es] for es in exponents]
+    den = ilcm(*(q.denominator for qs in rational for q in qs))
+    modulus = den * scale.denominator
+    ints = [
+        [scale.numerator * q.numerator * (den // q.denominator) for q in qs]
+        for qs in rational
+    ]
+    surds = None
+    if any(e.tower is not QQ for es in exponents for e in es):
+        surds = [
+            [e - Scalar(QQ, q) for e, q in zip(es, qs)]
+            for es, qs in zip(exponents, rational)
+        ]
+    finite, at_inf = ints[:-1], ints[-1]
     idx = [0] * len(finite)
     sums = [0] * (len(finite) + 1)  # sums[i]: exponents before point i
     stale, candidates = 0, []
     while stale >= 0:
         for i in range(stale, len(finite)):
             sums[i + 1] = sums[i] + finite[i][idx[i]]
+        total = sums[-1]
         for j, e in enumerate(at_inf):
-            m = e - sums[-1]
-            if scale != 1:
-                m = m * scale
-            if m.is_nonneg_integer():
-                candidates.append((int(m.as_fraction()), idx + [j]))
+            m, rest = divmod(e - total, modulus)
+            if rest or m < 0:
+                continue
+            if surds is not None and not _surds_cancel(surds, idx + [j]):
+                continue
+            candidates.append((m, idx + [j]))
         # next choice in product order: the last point that can move does
         stale = len(finite) - 1
         while stale >= 0 and idx[stale] == len(finite[stale]) - 1:
@@ -293,14 +330,22 @@ def _search(exponents, tags, scale, build):
     return None
 
 
-def case1(r: RatFunc):
+def _surds_cancel(surds, choice):
+    """True iff the irrational parts of e_inf - sum e_c sum to zero."""
+    acc = surds[-1][choice[-1]]
+    for parts, j in zip(surds[:-1], choice):
+        acc = acc - parts[j]
+    return acc.is_zero()
+
+
+def case1(r: RatFunc, poles=None):
     r = RatFunc.coerce(r)
     data_inf = classify_point_case1(r, INFINITY)
     if data_inf.subcase is None:
         return None
     locals_ = []
-    for c, _order in r.poles():
-        d = classify_point_case1(r, c)
+    for c, order in r.poles() if poles is None else poles:
+        d = classify_point_case1(r, c, order)
         if d.subcase is None:
             return None
         locals_.append(d)
@@ -319,7 +364,7 @@ def case1(r: RatFunc):
                 + vfun * RatFunc.coerce(q)
             )
 
-        p = _monic_poly_solution(op, m)
+        p = _monic_poly_solution(_images(op, m))
         if p is not None and verify_case1(r, omega, p):
             return Case1Result(omega, p, m)
         return None
@@ -332,7 +377,7 @@ def case1(r: RatFunc):
         same = d.alpha_plus == d.alpha_minus and head.is_zero()
         signs.append((1,) if same else (1, -1))
     alphas = [[d.alpha(sg) for sg in sgs] for d, sgs in zip(points, signs)]
-    return _search(alphas, signs, 1, build)
+    return _search(alphas, signs, Fraction(1), build)
 
 
 def _omega_mod(g, f):
@@ -410,9 +455,10 @@ def _theta(poles, exponents, scale):
     return theta
 
 
-def case2(r: RatFunc):
+def case2(r: RatFunc, poles=None):
     r = RatFunc.coerce(r)
-    poles = r.poles()
+    if poles is None:
+        poles = r.poles()
     if not poles:
         return None
     # Kovacic's E_c: {2, 2 +- 2 sqrt(1 + 4b)}, m = (e_inf - sum e_c) / 2
@@ -437,7 +483,7 @@ def case2(r: RatFunc):
                 + coef0 * RatFunc.coerce(q)
             )
 
-        p = _monic_poly_solution(op, m)
+        p = _monic_poly_solution(_images(op, m))
         if p is None:
             return None
         phi = theta + RatFunc.coerce(p.derivative()) / RatFunc.coerce(p)
@@ -450,9 +496,10 @@ def case2(r: RatFunc):
     return _search(sets, sets, Fraction(1, 2), build)
 
 
-def case3(r: RatFunc):
+def case3(r: RatFunc, poles=None):
     r = RatFunc.coerce(r)
-    poles = r.poles()
+    if poles is None:
+        poles = r.poles()
     if not poles or any(o > 2 for _, o in poles) or r.order_at_infinity() < 2:
         return None
     s_poly = Poly([1])
@@ -463,18 +510,23 @@ def case3(r: RatFunc):
     def build(choice, m, n):
         theta = _theta(poles, choice[:-1], Fraction(n, 12))
         s_theta = (theta * RatFunc.coerce(s_poly)).as_poly()
-
-        def p_minus_one(q):
-            seq = _case3_sequence(q, s_poly, s_theta, s2r, n)
-            return RatFunc.coerce(seq[0])
-
-        p = _monic_poly_solution(p_minus_one, m)
+        d, (s, t, r2) = _integer_lists(s_poly, s_theta, s2r)
+        images = [
+            Poly(_case3_chain([0] * j + [1], s, t, r2, d, n)[0])
+            for j in range(m + 1)
+        ]
+        p = _monic_poly_solution(images)
         if p is None:
             return None
-        seq = _case3_sequence(p, s_poly, s_theta, s2r, n)
-        # seq[i + 1] is P_i for i in -1..n
+        q_den, (q,) = _integer_lists(p)
+        chain = _case3_chain(q, s, t, r2, d, n)
+        # chain[i + 1] = q_den d^(n-i) P_i, and omega_poly[i] is
+        # S^i P_i / (n - i)!
         omega_poly = [
-            RatFunc(s_poly**i * seq[i + 1], Poly([factorial(n - i)]))
+            RatFunc(
+                s_poly**i * Poly(chain[i + 1]),
+                Poly([q_den * d ** (n - i) * factorial(n - i)]),
+            )
             for i in range(n + 1)
         ]
         if verify_algebraic_riccati(r, omega_poly):
@@ -490,19 +542,54 @@ def case3(r: RatFunc):
     return None
 
 
-def _case3_sequence(p, s_poly, s_theta, s2r, n):
-    """[P_{-1}, P_0, ..., P_n] for the downward recursion with P_n = -P."""
-    seq = [Poly([])] * (n + 2)
-    seq[n + 1] = -Poly.coerce(p)
+def _integer_lists(*polys):
+    """(d, lists): d times each polynomial as an int list, d the least
+    common denominator; d = 1 and the Scalar lists when a coefficient is
+    irrational."""
+    forms = [_rational_coeffs(p) for p in polys]
+    if any(f is None for f in forms):
+        return 1, [p.coeffs for p in polys]
+    d = ilcm(*(den for _, den in forms))
+    return d, [[c * (d // den) for c in ints] for ints, den in forms]
+
+
+def _case3_chain(q, s, t, r2, d, n):
+    """[Q_{-1}, Q_0, ..., Q_n], Q_i = d^(n-i) P_i, for Kovacic's
+    downward recursion P_n = -P,
+        P_{i-1} = -S P_i' + ((n-i) S' - S theta) P_i
+                  - (n-i)(i+1) S^2 r P_{i+1},
+    run on coefficient lists (ints, or Scalars when irrational) with
+    s = d S, t = d S theta, r2 = d S^2 r and q the list of P:
+        Q_{i-1} = -s Q_i' + ((n-i) s' - t) Q_i - (n-i)(i+1) d r2 Q_{i+1}.
+    """
+    s1 = [k * c for k, c in enumerate(s)][1:]
+    chain = [[-c for c in q]]
+    above = []  # Q_{i+1}
     for i in range(n, -1, -1):
-        p_i = seq[i + 1]
-        p_next = seq[i + 2] if i + 2 <= n + 1 else Poly([])
-        seq[i] = (
-            -(s_poly * p_i.derivative())
-            + (s_poly.derivative().scale(n - i) - s_theta) * p_i
-            - s2r.scale((n - i) * (i + 1)) * p_next
-        )
-    return seq
+        qi = chain[-1]
+        out = []
+        _add_product(out, s, [k * c for k, c in enumerate(qi)][1:], -1)
+        _add_product(out, s1, qi, n - i)
+        _add_product(out, t, qi, -1)
+        _add_product(out, r2, above, -(n - i) * (i + 1) * d)
+        above = qi
+        chain.append(out)
+    chain.reverse()
+    return chain
+
+
+def _add_product(out, f, g, c):
+    """out += c f g for coefficient lists, low order first; c an int."""
+    if not (c and f and g):
+        return
+    need = len(f) + len(g) - 1
+    if len(out) < need:
+        out.extend([0] * (need - len(out)))
+    for i, fi in enumerate(f):
+        if fi:
+            fi = c * fi
+            for j, gj in enumerate(g):
+                out[i + j] += fi * gj
 
 
 def solve_rlde(e) -> object:
@@ -511,8 +598,9 @@ def solve_rlde(e) -> object:
         r = e.rho
     else:
         r = RatFunc.coerce(e)
+    poles = r.poles()
     for case in (case1, case2, case3):
-        res = case(r)
+        res = case(r, poles)
         if res is not None:
             return res
     return Case4Result()

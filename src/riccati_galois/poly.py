@@ -388,14 +388,20 @@ def gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; the zero polynomial when both operands are zero.
 
     Operands with rational coefficients take the integer primitive
-    remainder sequence (_rational_gcd); any tower coefficient sends both
-    through the Euclidean loop (_euclid_gcd).  The two agree wherever
-    both apply.
+    remainder sequence (_rational_gcd).  With a tower coefficient, a
+    linear operand is tested by evaluating the other at its root, and
+    otherwise both go through the Euclidean loop (_euclid_gcd).  The
+    routes agree wherever they all apply.
     """
     a, b = Poly.coerce(a), Poly.coerce(b)
     fa, fb = _rational_coeffs(a), _rational_coeffs(b)
     if fa is not None and fb is not None:
         return _rational_gcd(fa, fb)
+    if b.degree() == 1:
+        a, b = b, a
+    if a.degree() == 1:
+        # x - root divides b or is coprime to it
+        return a.monic() if b(-a.coeff(0) / a.coeff(1)).is_zero() else Poly([1])
     return _euclid_gcd(a, b)
 
 

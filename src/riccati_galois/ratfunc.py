@@ -10,13 +10,21 @@ tower coefficients and the reference the tests hold the kernel to.
 Arithmetic on canonical operands reaches the kernel through Poly's
 add, multiply, exact_div, derivative and gcd, so a rational chain of
 RatFunc operations builds Scalars only where a caller reads .coeffs
-(Laurent expansions, evaluation, printing).
+(evaluation, printing).  A power of a canonical RatFunc, a square
+included, is canonical as it stands and takes no gcd.
 
 On top of the arithmetic this module provides the local data the
 decision algorithm feeds on: pole lists, Laurent expansions at finite
 points and at infinity, residues, and Hermite reduction for recognising
-rational antiderivatives.
+rational antiderivatives.  Pole orders and expansions at a finite point
+c read the Taylor coefficients of numerator and denominator at c one at
+a time, each the remainder of a synthetic division by x - c, and stop as
+soon as the valuation and the requested terms are known; for rational
+data and a rational c the divisions run on integers (_taylor) and the
+series division on Fractions, and Scalars are built for the result only.
 """
+
+from fractions import Fraction
 
 from .poly import (
     Poly,
@@ -26,7 +34,7 @@ from .poly import (
     gcd,
     roots_with_multiplicity,
 )
-from .scalars import Scalar
+from .scalars import QQ, Scalar
 
 
 class RatFunc:
@@ -96,6 +104,8 @@ class RatFunc:
         return RatFunc.coerce(other) + (-self)
 
     def __mul__(self, other):
+        if other is self:
+            return self**2
         other = RatFunc.coerce(other)
         return RatFunc(self.num * other.num, self.den * other.den)
 
@@ -113,7 +123,8 @@ class RatFunc:
     def __pow__(self, n: int):
         if n < 0:
             return (RatFunc.coerce(1) / self) ** (-n)
-        return RatFunc(self.num**n, self.den**n)
+        # powers of coprime polynomials stay coprime, of a monic one monic
+        return RatFunc(self.num**n, self.den**n, _canonical=True)
 
     def __eq__(self, other):
         try:
@@ -149,16 +160,12 @@ class RatFunc:
         return self.den.degree() - self.num.degree()
 
     def pole_order(self, c) -> int:
-        c = Scalar.coerce(c)
+        """Multiplicity of c as a root of the denominator."""
         order = 0
-        d = self.den
-        lin = Poly([-c, 1])
-        while True:
-            q, r = d.divmod(lin)
-            if not r.is_zero():
+        for t in _taylor(self.den, Scalar.coerce(c)):
+            if t:
                 return order
             order += 1
-            d = q
 
     def poles(self):
         """[(point, order)] sorted deterministically.
@@ -186,12 +193,8 @@ class RatFunc:
         if self.is_zero():
             return 0, [Scalar.coerce(0)] * count
         c = Scalar.coerce(c)
-        n = self.num.shift(c)
-        d = self.den.shift(c)
-        a = _valuation(n)
-        b = _valuation(d)
-        n_units = n.coeffs[a:]
-        d_units = d.coeffs[b:]
+        a, n_units = _units(_taylor(self.num, c), count)
+        b, d_units = _units(_taylor(self.den, c), count)
         return a - b, _series_div(n_units, d_units, count)
 
     def laurent_at_infinity(self, count):
@@ -203,10 +206,9 @@ class RatFunc:
         """
         if self.is_zero():
             return 0, [Scalar.coerce(0)] * count
-        n_rev = list(reversed(self.num.coeffs))
-        d_rev = list(reversed(self.den.coeffs))
         top = self.num.degree() - self.den.degree()
-        return top, _series_div(n_rev, d_rev, count)
+        n_rev = _values(self.num)[::-1]
+        return top, _series_div(n_rev, _values(self.den)[::-1], count)
 
     def residue_at(self, c) -> Scalar:
         m = self.pole_order(c)
@@ -256,31 +258,72 @@ def _needs_parens(s: str) -> bool:
     return any(op in s for op in (" + ", " - ", "/")) or s.startswith("-")
 
 
-def _valuation(p: Poly) -> int:
-    for k, coeff in enumerate(p.coeffs):
-        if not coeff.is_zero():
-            return k
-    raise ValueError("zero polynomial has no valuation")
+def _values(p: Poly):
+    """p's coefficients, low order first: Fractions when rational, else
+    Scalars."""
+    zz = _rational_coeffs(p)
+    if zz is None:
+        return p.coeffs
+    ints, den = zz
+    return [Fraction(c, den) for c in ints]
+
+
+def _taylor(p: Poly, c: Scalar):
+    """Taylor coefficients of p at x = c, lowest order first, each the
+    remainder of one synthetic division by x - c; Fractions when p and
+    c are rational, else Scalars.  Lazy, so a caller stops as soon as it
+    knows enough.
+
+    With c = u/v, p = ints/den and n = deg p, B(z) = v^n den p(z/v) has
+    integer coefficients and p(c + y) = B(u + v y) / (v^n den), so the
+    k-th coefficient is that of B at u over v^(n-k) den.
+    """
+    zz = _rational_coeffs(p)
+    if zz is None or c.tower is not QQ:
+        b, u, scale = list(p.coeffs), c, None
+    else:
+        ints, den = zz
+        u, v = c.val.numerator, c.val.denominator
+        n = len(ints) - 1
+        b = [a * v ** (n - j) for j, a in enumerate(ints)] if v != 1 else ints
+        scale = den * v**n
+    while b:
+        # b <- (b - b(u)) / (z - u), by Horner from the top
+        acc, q = b[-1], b[:-1]
+        for j in range(len(q) - 1, -1, -1):
+            acc, q[j] = q[j] + u * acc, acc
+        if scale is None:
+            yield acc
+        else:
+            yield Fraction(acc, scale)
+            scale //= v
+        b = q
+
+
+def _units(taylor, count):
+    """(valuation, the first `count` coefficients from the lowest nonzero
+    one) of a nonzero polynomial's Taylor coefficients."""
+    val, units = 0, []
+    for t in taylor:
+        if units or t:
+            units.append(t)
+            if len(units) == count:
+                break
+        else:
+            val += 1
+    return val, units
 
 
 def _series_div(n_coeffs, d_coeffs, count):
-    """Power series division n/d to `count` terms; d[0] != 0."""
-    inv0 = Scalar.coerce(d_coeffs[0]).inverse()
+    """`count` terms of the power series n/d as Scalars; d[0] != 0 and
+    the coefficients are Fractions or Scalars."""
     out = []
-    rem = [Scalar.coerce(x) for x in n_coeffs]
     for k in range(count):
-        cur = rem[k] if k < len(rem) else Scalar.coerce(0)
-        coeff = cur * inv0
-        out.append(coeff)
-        if not coeff.is_zero():
-            for j, dj in enumerate(d_coeffs):
-                idx = k + j
-                if idx >= count:
-                    break
-                while idx >= len(rem):
-                    rem.append(Scalar.coerce(0))
-                rem[idx] = rem[idx] - coeff * Scalar.coerce(dj)
-    return out
+        acc = n_coeffs[k] if k < len(n_coeffs) else 0
+        for j in range(1, min(k, len(d_coeffs) - 1) + 1):
+            acc = acc - d_coeffs[j] * out[k - j]
+        out.append(acc / d_coeffs[0])
+    return [Scalar(QQ, q) if isinstance(q, Fraction) else q for q in out]
 
 
 def hermite_reduce(r: RatFunc):

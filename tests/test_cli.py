@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from riccati_galois import cli, scalars
+from riccati_galois import cli, exprparse, scalars
 from riccati_galois.poly import InexactDivision, Poly
 from riccati_galois.reports import SCHEMA, Report, render_text, to_json
 
@@ -104,6 +104,13 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "syntax" in err
+
+    def test_exponent_above_bound(self, capsys):
+        rho = "(x + 1/3)^%d / (x - 1)" % (exprparse.MAX_EXPONENT + 1)
+        code, out, err = run(capsys, "solve", "--rho", rho, "--no-timing")
+        assert code == 2
+        assert out == ""
+        assert "position 9" in err
 
     def test_unsupported_tower(self, capsys):
         code, _, err = run(

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from riccati_galois.bivar import BivarPoly
 from riccati_galois.exprparse import (
+    MAX_EXPONENT,
     ParseError,
     parse,
     parse_ratfunc,
@@ -192,7 +193,13 @@ class TestPrintCanonical:
 
 class TestAst:
     def test_tree_shape(self):
-        assert parse("1+2*x") == ("add", ("int", 1), ("mul", ("int", 2), ("sym", "x")))
+        # sym, sqrt and pow nodes end with the position of their token
+        assert parse("1+2*x") == (
+            "add", ("int", 1), ("mul", ("int", 2), ("sym", "x", 4))
+        )
+        assert parse("sqrt(2)^3") == (
+            "pow", ("sqrt", ("int", 2), 0), ("int", 3), 7
+        )
 
     def test_exponent_is_integer_tree(self):
         with pytest.raises(ParseError):
@@ -202,3 +209,59 @@ class TestAst:
         with pytest.raises(ParseError) as err:
             parse("1 + $")
         assert err.value.position == 4
+
+
+class TestEvaluationPositions:
+    @pytest.mark.parametrize(
+        "src,position",
+        [
+            ("x; z*y", 3),  # unbound symbol in the second component
+            ("x; 1/y", 3),  # second component not a polynomial
+            ("1/y; x", 0),
+            ("x; sqrt(y) + 1", 3),  # sqrt of a non-constant
+        ],
+    )
+    def test_vectorfield(self, src, position):
+        with pytest.raises(ParseError) as err:
+            parse_vectorfield(src)
+        assert err.value.position == position
+
+    def test_ratfunc(self):
+        for src, position in (
+            ("1 + y", 4),
+            ("x + sqrt(x)", 4),
+            ("x^x", 2),
+            ("x^(1/2)", 1),
+            ("x^(2^-1)", 4),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse_ratfunc(src)
+            assert err.value.position == position, src
+
+
+class TestExponentBound:
+    def test_bound_is_inclusive(self):
+        assert parse_ratfunc("x^%d" % MAX_EXPONENT).num.degree() == MAX_EXPONENT
+        assert parse_ratfunc("(x^2)^%d" % (MAX_EXPONENT // 2)).num.degree() == (
+            MAX_EXPONENT
+        )
+        assert parse_ratfunc("x^(2^9)").num.degree() == 512
+
+    @pytest.mark.parametrize(
+        "src,position",
+        [
+            # just above the bound, so that a regression is slow (about
+            # 0.3 s for this power), not memory-exhausting
+            ("(x + 1/3)^%d / (x - 1)" % (MAX_EXPONENT + 1), 9),
+            ("(x^2)^%d" % (MAX_EXPONENT // 2 + 1), 5),
+            ("x^-%d" % (MAX_EXPONENT + 1), 1),
+            ("2^%d" % (MAX_EXPONENT + 1), 1),
+            ("x^(2^10)", 4),  # a power inside an exponent
+            ("x^(2^2^2^2^2)", 6),
+        ],
+    )
+    def test_above_bound_is_a_parse_error(self, src, position):
+        with pytest.raises(ParseError) as err:
+            parse_ratfunc(src)
+        assert err.value.position == position
+        assert str(MAX_EXPONENT) in str(err.value)

@@ -5,12 +5,16 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from riccati_galois import cli
+from riccati_galois import cli, kovacic
 from riccati_galois.applications import hypergeometric_rho
 from riccati_galois.kovacic import (
     INFINITY,
     Case4Result,
+    _case3_chain,
+    _integer_lists,
+    _search,
     case1,
     case2,
     case3,
@@ -278,7 +282,12 @@ class TestSecondSolution:
 # order changes the certificate.  "1/x^4 - 2/x + 3 + x^2" has a c3 pole
 # with equal alphas where only the minus sign works, so a sign dropped
 # there turns its Case 1 into Case 4.  Recorded before the shared search
-# was written; the search must reproduce them byte for byte.
+# was written; the search must reproduce them byte for byte.  The last
+# seven rows were recorded before the integer search, expansions and
+# Case 3 recursion: Case 1 with poles at +-sqrt(2), +-sqrt(3) and
+# +-sqrt(5); irrational exponent sets from a double pole with 1 + 4b = 2
+# (Case 1 and Case 4); the Moebius pullbacks of (1/2, 1/3, 1/4), Case 3,
+# and of (1/3, 1/4, 1/7), Case 4.
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "solve_pinned.json").read_text()
 )
@@ -336,3 +345,183 @@ def test_mobius_pullback_case_matches_kimura(triple):
     else:
         expected = 2 if verdict.detail["family"] == 1 else 3
     assert solve_rlde(rho).case == expected
+
+
+# -- the integer hot paths against the Scalar and Poly code they replaced
+
+
+def search_reference(exponents, scale):
+    """[(m, choice)] in (m, product index) order by the Scalar odometer."""
+    finite, at_inf = exponents[:-1], exponents[-1]
+    idx = [0] * len(finite)
+    sums = [0] * (len(finite) + 1)
+    stale, candidates = 0, []
+    while stale >= 0:
+        for i in range(stale, len(finite)):
+            sums[i + 1] = sums[i] + finite[i][idx[i]]
+        for j, e in enumerate(at_inf):
+            m = (e - sums[-1]) * scale
+            if m.is_nonneg_integer():
+                candidates.append((int(m.as_fraction()), idx + [j]))
+        stale = len(finite) - 1
+        while stale >= 0 and idx[stale] == len(finite[stale]) - 1:
+            idx[stale] = 0
+            stale -= 1
+        if stale >= 0:
+            idx[stale] += 1
+    candidates.sort(key=lambda c: c[0])
+    return candidates
+
+
+def search_candidates(exponents, scale):
+    """Every candidate _search offers its builder, in order."""
+    seen = []
+
+    def record(choice, m):
+        seen.append((m, choice))
+
+    tags = [list(range(len(es))) for es in exponents]
+    assert _search(exponents, tags, scale, record) is None
+    return seen
+
+
+def case3_sequence_reference(p, s_poly, s_theta, s2r, n):
+    """[P_{-1}, P_0, ..., P_n] by the downward recursion on Polys."""
+    seq = [Poly([])] * (n + 2)
+    seq[n + 1] = -Poly.coerce(p)
+    for i in range(n, -1, -1):
+        p_i = seq[i + 1]
+        p_next = seq[i + 2] if i + 2 <= n + 1 else Poly([])
+        seq[i] = (
+            -(s_poly * p_i.derivative())
+            + (s_poly.derivative().scale(n - i) - s_theta) * p_i
+            - s2r.scale((n - i) * (i + 1)) * p_next
+        )
+    return seq
+
+
+SQRT2 = scalar_sqrt(2)
+SQRT3 = scalar_sqrt(3)
+SCALES = [F(1), F(1, 2), F(4, 12), F(6, 12), F(12, 12)]
+small_fractions = st.builds(
+    F, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=3)
+)
+rational_exponents = small_fractions.map(Scalar.coerce)
+# q + k sqrt(d): equal surds cancel often enough to pass
+surd_exponents = st.builds(
+    lambda q, k, root: q + k * root,
+    small_fractions,
+    st.integers(min_value=-1, max_value=1),
+    st.sampled_from([SQRT2, SQRT3]),
+)
+
+
+def exponent_sets(elements):
+    return st.lists(
+        st.lists(elements, min_size=1, max_size=4), min_size=1, max_size=4
+    )
+
+
+class TestIntegerSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(exponent_sets(rational_exponents), st.sampled_from(SCALES))
+    def test_rational_candidates_match_reference(self, exponents, scale):
+        assert search_candidates(exponents, scale) == search_reference(
+            exponents, scale
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(exponent_sets(surd_exponents), st.sampled_from(SCALES))
+    def test_surd_candidates_match_reference(self, exponents, scale):
+        assert search_candidates(exponents, scale) == search_reference(
+            exponents, scale
+        )
+
+    def test_surd_parts_must_cancel(self):
+        # the rational parts pass for all eight choices, the surds cancel in two
+        e = [
+            [1 + SQRT2, 1 - SQRT2, 1 + SQRT3, Scalar.coerce(2)],
+            [2 + SQRT2, Scalar.coerce(3)],
+        ]
+        got = search_candidates(e, F(1))
+        assert got == [(1, [0, 0]), (1, [3, 1])]
+        assert got == search_reference(e, F(1))
+
+
+class TestCase3Chain:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([4, 6, 12]),
+        st.lists(small_fractions, min_size=1, max_size=3, unique=True),
+        st.lists(small_fractions, min_size=0, max_size=3),
+        st.lists(small_fractions, min_size=0, max_size=5),
+        st.lists(small_fractions, min_size=0, max_size=4),
+    )
+    def test_matches_poly_recursion(self, n, roots, theta, r2, p):
+        s_poly = Poly([1])
+        for c in roots:
+            s_poly = s_poly * Poly([-c, 1])
+        s_theta, s2r, p = Poly(theta), Poly(r2), Poly(p)
+        d, (s, t, r2_ints) = _integer_lists(s_poly, s_theta, s2r)
+        assert all(isinstance(c, int) for c in s + t + r2_ints)
+        q, q_den = p._integer_form()
+        chain = _case3_chain(q, s, t, r2_ints, d, n)
+        seq = case3_sequence_reference(p, s_poly, s_theta, s2r, n)
+        assert len(chain) == len(seq) == n + 2
+        for i in range(-1, n + 1):
+            got = Poly(chain[i + 1]).scale(F(1, q_den * d ** (n - i)))
+            assert got == seq[i + 1]
+
+    @pytest.mark.parametrize("n", [4, 6, 12])
+    def test_tower_coefficients(self, n):
+        s_poly = X**2 - 2
+        s_theta = Poly([F(1, 2) * SQRT2, F(3, 4)])
+        s2r = Poly([F(-3, 16), SQRT2, F(1, 3)])
+        p = Poly([SQRT2, F(1, 2), 1])
+        d, lists = _integer_lists(s_poly, s_theta, s2r)
+        assert d == 1
+        chain = _case3_chain(p.coeffs, *lists, d, n)
+        seq = case3_sequence_reference(p, s_poly, s_theta, s2r, n)
+        assert [Poly(q) for q in chain] == seq
+
+
+def test_search_makes_no_scalar_arithmetic():
+    # the Moebius Case 4 input: every exponent rational, so the search
+    # itself (its builders aside) stays on integers
+    rho = mobius_pullback(hypergeometric_rho(F(1, 3), F(1, 4), F(1, 7)))
+    calls, inside = [], [False]
+
+    def counting(name):
+        method = getattr(Scalar, name)
+
+        def wrapper(*args):
+            if inside[0]:
+                calls.append(name)
+            return method(*args)
+
+        return wrapper
+
+    def quiet(build):
+        def wrapped(*args):
+            inside[0] = False
+            try:
+                return build(*args)
+            finally:
+                inside[0] = True
+
+        return wrapped
+
+    def search(exponents, tags, scale, build):
+        inside[0] = True
+        try:
+            return _search(exponents, tags, scale, quiet(build))
+        finally:
+            inside[0] = False
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("__sub__", "__rsub__", "__mul__", "__rmul__"):
+            mp.setattr(Scalar, name, counting(name))
+        mp.setattr(kovacic, "_search", search)
+        assert case3(rho) is None
+        assert solve_rlde(rho).case == 4
+    assert calls == []

@@ -342,6 +342,120 @@ class TestRatFunc:
             r(1)
 
 
+def _valuation_reference(p):
+    for k, coeff in enumerate(p.coeffs):
+        if not coeff.is_zero():
+            return k
+    raise ValueError("zero polynomial has no valuation")
+
+
+def _series_div_reference(n_coeffs, d_coeffs, count):
+    inv0 = Scalar.coerce(d_coeffs[0]).inverse()
+    out = []
+    rem = [Scalar.coerce(x) for x in n_coeffs]
+    for k in range(count):
+        cur = rem[k] if k < len(rem) else Scalar.coerce(0)
+        coeff = cur * inv0
+        out.append(coeff)
+        if not coeff.is_zero():
+            for j, dj in enumerate(d_coeffs):
+                idx = k + j
+                if idx >= count:
+                    break
+                while idx >= len(rem):
+                    rem.append(Scalar.coerce(0))
+                rem[idx] = rem[idx] - coeff * Scalar.coerce(dj)
+    return out
+
+
+def laurent_reference(r, c, count):
+    """The expansion at c by shifting numerator and denominator to c."""
+    if r.is_zero():
+        return 0, [Scalar.coerce(0)] * count
+    c = Scalar.coerce(c)
+    n, d = r.num.shift(c), r.den.shift(c)
+    a, b = _valuation_reference(n), _valuation_reference(d)
+    return a - b, _series_div_reference(n.coeffs[a:], d.coeffs[b:], count)
+
+
+def laurent_at_infinity_reference(r, count):
+    if r.is_zero():
+        return 0, [Scalar.coerce(0)] * count
+    n_rev = list(reversed(r.num.coeffs))
+    d_rev = list(reversed(r.den.coeffs))
+    top = r.num.degree() - r.den.degree()
+    return top, _series_div_reference(n_rev, d_rev, count)
+
+
+def pole_order_reference(r, c):
+    """The pole order at c by repeated division by x - c."""
+    order, d, lin = 0, r.den, Poly([-Scalar.coerce(c), 1])
+    while True:
+        q, rem = d.divmod(lin)
+        if not rem.is_zero():
+            return order
+        order += 1
+        d = q
+
+
+def expansion_keys(expansion):
+    start, coeffs = expansion
+    return start, [c.key() for c in coeffs]
+
+
+class TestLocalExpansions:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fraction_polys,
+        fraction_polys,
+        small_fractions,
+        small_fractions,
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=1, max_value=9),
+        st.booleans(),
+    )
+    def test_expansions_match_shift_reference(
+        self, num, den, a, b, k, j, count, conjugates
+    ):
+        # c = a + b sqrt(2) is rational when b = 0; the planted factor is
+        # x - c, or with conjugates the rational x^2 - 2a x + a^2 - 2b^2,
+        # so numerator and denominator may vanish at c to any order, and
+        # count may exceed every degree
+        assume(not den.is_zero())
+        c = a + b * SQRT2
+        if conjugates:
+            factor = X**2 - 2 * a * X + (a * a - 2 * b * b)
+        else:
+            factor = X - c
+        r = RatFunc(num * factor**k, den * factor**j)
+        assert expansion_keys(r.laurent_at(c, count)) == expansion_keys(
+            laurent_reference(r, c, count)
+        )
+        assert expansion_keys(r.laurent_at_infinity(count)) == expansion_keys(
+            laurent_at_infinity_reference(r, count)
+        )
+        assert r.pole_order(c) == pole_order_reference(r, c)
+
+    def test_numerator_vanishing_at_the_point(self):
+        # (x - 1/2)^3 / (x^2 (x - 1/2)) at 1/2: a double zero
+        r = RatFunc((X - F(1, 2)) ** 3, X**2 * (X - F(1, 2)))
+        start, coeffs = r.laurent_at(F(1, 2), 6)
+        assert start == 2
+        assert coeffs == laurent_reference(r, F(1, 2), 6)[1]
+        assert coeffs[:3] == [4, -16, 48]
+        assert r.pole_order(F(1, 2)) == 0 and r.pole_order(0) == 2
+
+    def test_surd_pole(self):
+        # 1/(x^2 - 2) = (sqrt(2)/4) / (x - sqrt(2)) - 1/8 + ...
+        r = RatFunc(1, X**2 - 2)
+        start, coeffs = r.laurent_at(SQRT2, 3)
+        assert start == -1
+        assert coeffs[0] == SQRT2 / 4 and coeffs[1] == F(-1, 8)
+        assert r.pole_order(SQRT2) == 1 and r.pole_order(-SQRT2) == 1
+        assert RatFunc(1, (X - SQRT2) ** 2).pole_order(SQRT2) == 2
+
+
 class TestHermite:
     def test_reduction_identity(self):
         r = RatFunc(X**2 + 3, X**2 * (X - 1) ** 3)
