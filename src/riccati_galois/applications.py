@@ -284,12 +284,17 @@ def lienard_integrability(mu, nu) -> CriterionVerdict:
                 "%s = %s is an integer" % (name, value),
                 detail={"clause": 1, "condition": name},
             )
-    if not (mu.is_rational() and nu.is_rational()):
-        return CriterionVerdict(
-            CriterionVerdict.NOT_INTEGRABLE,
-            "no integer combination and no rational residue class",
-        )
-    label = lienard_table_row(mu.as_fraction(), nu.as_fraction())
+    if mu.is_rational() and nu.is_rational():
+        label = lienard_table_row(mu.as_fraction(), nu.as_fraction())
+    else:
+        # row (a), mu in 1/2 + Z with nu free, is the one row an
+        # irrational pair can fit
+        label, mu_off = LIENARD_TABLE[0][:2]
+        if not (mu.is_rational() and _in_z_offset(mu.as_fraction(), mu_off)):
+            return CriterionVerdict(
+                CriterionVerdict.NOT_INTEGRABLE,
+                "no integer combination and no rational residue class",
+            )
     if label is not None:
         return CriterionVerdict(
             CriterionVerdict.INTEGRABLE,

@@ -31,6 +31,13 @@ class ParseError(SyntaxError):
 # enough that a short input cannot run for hours.
 MAX_EXPONENT = 1000
 
+# The largest size of a power: |exponent| times the bit length of the
+# base's largest coefficient times the number of coefficients of the
+# result, which estimates the bits the result holds.  (x + 1/3)^1000 is
+# about 2*10^6; a nested constant power such as ((2^1000)^1000)^1000
+# multiplies the size of its base by its exponent and is stopped here.
+MAX_POWER_BITS = 10**7
+
 
 # -- tokenizer -------------------------------------------------------------
 
@@ -219,6 +226,27 @@ def _degree(value):
     return max(value.num.total_degree(), value.den.total_degree())
 
 
+def _scalar_bits(s: Scalar) -> int:
+    if s.is_rational():
+        q = s.as_fraction()
+        return max(q.numerator.bit_length(), q.denominator.bit_length())
+    return max(_scalar_bits(half) for half in s.val)
+
+
+def _power_bits(base, exponent):
+    """The size of base**exponent that MAX_POWER_BITS bounds; a bivariate
+    result counts every monomial up to its total degree."""
+    polys = [base.num, base.den]
+    degree = abs(exponent) * _degree(base)
+    if isinstance(base, RatFunc):
+        terms = degree + 1
+    else:
+        polys = [p for b in polys for p in b.w_coeffs()]
+        terms = (degree + 1) * (degree + 2) // 2
+    bits = max(_scalar_bits(c) for p in polys for c in p.coeffs)
+    return abs(exponent) * bits * terms
+
+
 def _evaluate(node, env, coerce, to_scalar):
     op = node[0]
     if op == "int":
@@ -242,6 +270,10 @@ def _evaluate(node, env, coerce, to_scalar):
         if abs(exponent) * max(_degree(base), 1) > MAX_EXPONENT:
             raise ParseError(
                 "exponent or degree of a power above %d" % MAX_EXPONENT, at
+            )
+        if _power_bits(base, exponent) > MAX_POWER_BITS:
+            raise ParseError(
+                "size of a power above %d bits" % MAX_POWER_BITS, at
             )
         return base**exponent
     left = _evaluate(node[1], env, coerce, to_scalar)

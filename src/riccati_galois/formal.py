@@ -28,39 +28,6 @@ class FormalProduct:
         self.powers = tuple(cleaned)
         self.integrand = RatFunc.coerce(integrand)
 
-    @classmethod
-    def power(cls, base, exp):
-        return cls(1, ((base, exp),), 0)
-
-    def is_zero(self):
-        return self.constant.is_zero()
-
-    def times(self, other: "FormalProduct") -> "FormalProduct":
-        return FormalProduct(
-            self.constant * other.constant,
-            self.powers + other.powers,
-            self.integrand + other.integrand,
-        )
-
-    def scaled(self, c) -> "FormalProduct":
-        return FormalProduct(self.constant * Scalar.coerce(c), self.powers, self.integrand)
-
-    def inverse(self) -> "FormalProduct":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero formal product")
-        return FormalProduct(
-            self.constant.inverse(),
-            tuple((b, -e) for b, e in self.powers),
-            -self.integrand,
-        )
-
-    def pow(self, n: int) -> "FormalProduct":
-        return FormalProduct(
-            self.constant**n,
-            tuple((b, n * e) for b, e in self.powers),
-            self.integrand * n,
-        )
-
     def log_derivative(self) -> RatFunc:
         """f'/f as an honest rational function."""
         acc = self.integrand

@@ -288,10 +288,6 @@ class Poly:
             return fa == fb
         return (self - other).is_zero()
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         # not through the dispatch hook: a Poly hashes alike on both routes
         zz = self._integer_form()

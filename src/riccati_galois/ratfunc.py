@@ -133,10 +133,6 @@ class RatFunc:
             return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero()
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.num, self.den))
 

@@ -2,8 +2,14 @@
 
 A Scalar is an element of Q(sqrt(d1), ..., sqrt(dk)) where each radicand is
 either a square-free integer or a previously constructed Scalar that is not a
-square in the field below.  Values are kept in a canonical minimal tower so
-that equality with zero is a structural check.
+square in the field below.
+
+A value has one representation.  Over QQ it is a Fraction; over a tower T it
+is the pair (lo, hi) meaning lo + hi*sqrt(T.radicand), where lo and hi are
+Scalars of the same form over ancestors of T.base and hi != 0.  Arithmetic
+recurses on the two halves, and a result whose top half cancels is its lower
+half, so every value sits in the lowest tower of its chain that holds it and
+equality with zero is a structural check.
 """
 
 from __future__ import annotations
@@ -93,10 +99,6 @@ class Tower:
             other = other.base
         return False
 
-    def _rad_nested(self):
-        """The radicand as a nested value of the base tower."""
-        return _materialize(self.radicand, self.base)
-
     def chain(self):
         out = []
         tw = self
@@ -115,115 +117,93 @@ class Tower:
 QQ = Tower._intern(None, None, None)
 
 
-# Nested representations: a value materialized in a tower T is a Fraction when
-# T is QQ, else a pair (lo, hi) of values materialized in T.base meaning
-# lo + hi*sqrt(T.radicand).
+# Arithmetic on the halves.  Each helper takes operands whose towers lie on
+# one chain and returns a result in the deeper of the two towers, or below it
+# when the top halves cancel.  An operand from a lower tower is b + 0*sqrt(r)
+# in the deeper one and is combined with the other operand's halves directly.
 
-def _nzero(tower):
-    if tower.base is None:
-        return Fraction(0)
-    return (_nzero(tower.base), _nzero(tower.base))
-
-
-def _niszero(tower, u):
-    if tower.base is None:
-        return u == 0
-    return _niszero(tower.base, u[0]) and _niszero(tower.base, u[1])
-
-
-def _nadd(tower, u, v):
-    if tower.base is None:
-        return u + v
-    return (_nadd(tower.base, u[0], v[0]), _nadd(tower.base, u[1], v[1]))
+def _add(a: "Scalar", b: "Scalar") -> "Scalar":
+    ta, tb = a.tower, b.tower
+    if ta is tb:
+        if ta is QQ:
+            return Scalar(QQ, a.val + b.val)
+        lo = _add(a.val[0], b.val[0])
+        hi = _add(a.val[1], b.val[1])
+        return lo if hi.is_zero() else Scalar(ta, (lo, hi))
+    if ta.depth < tb.depth:
+        a, b, ta = b, a, tb
+    lo, hi = a.val
+    return Scalar(ta, (_add(lo, b), hi))
 
 
-def _nneg(tower, u):
-    if tower.base is None:
-        return -u
-    return (_nneg(tower.base, u[0]), _nneg(tower.base, u[1]))
+def _neg(a: "Scalar") -> "Scalar":
+    if a.tower is QQ:
+        return Scalar(QQ, -a.val)
+    lo, hi = a.val
+    return Scalar(a.tower, (_neg(lo), _neg(hi)))
 
 
-def _nmul(tower, u, v):
-    if tower.base is None:
-        return u * v
-    b = tower.base
-    r = tower._rad_nested()
-    ac = _nmul(b, u[0], v[0])
-    bd = _nmul(b, u[1], v[1])
-    lo = _nadd(b, ac, _nmul(b, bd, r))
-    hi = _nadd(b, _nmul(b, u[0], v[1]), _nmul(b, u[1], v[0]))
-    return (lo, hi)
+def _sub(a: "Scalar", b: "Scalar") -> "Scalar":
+    return _add(a, _neg(b))
 
 
-def _ninv(tower, u):
-    if tower.base is None:
-        if u == 0:
+def _mul(a: "Scalar", b: "Scalar") -> "Scalar":
+    ta, tb = a.tower, b.tower
+    if ta is tb:
+        if ta is QQ:
+            return Scalar(QQ, a.val * b.val)
+        alo, ahi = a.val
+        blo, bhi = b.val
+        lo = _add(_mul(alo, blo), _mul(_mul(ahi, bhi), ta.radicand))
+        hi = _add(_mul(alo, bhi), _mul(ahi, blo))
+        return lo if hi.is_zero() else Scalar(ta, (lo, hi))
+    if ta.depth < tb.depth:
+        a, b, ta = b, a, tb
+    if b.is_zero():
+        return b
+    lo, hi = a.val
+    return Scalar(ta, (_mul(lo, b), _mul(hi, b)))
+
+
+def _inv(a: "Scalar") -> "Scalar":
+    t = a.tower
+    if t is QQ:
+        if a.val == 0:
             raise ZeroDivisionError("division by zero Scalar")
-        return 1 / u
-    b = tower.base
-    r = tower._rad_nested()
-    # (a + b*sqrt(r))^-1 = (a - b*sqrt(r)) / (a^2 - b^2 r); the norm is nonzero
-    # because r is not a square in the base field.
-    norm = _nadd(b, _nmul(b, u[0], u[0]),
-                 _nneg(b, _nmul(b, _nmul(b, u[1], u[1]), r)))
-    ninv = _ninv(b, norm)
-    return (_nmul(b, u[0], ninv), _nneg(b, _nmul(b, u[1], ninv)))
+        return Scalar(QQ, 1 / a.val)
+    lo, hi = a.val
+    # (lo + hi*sqrt(r))^-1 = (lo - hi*sqrt(r)) / (lo^2 - hi^2 r); the norm
+    # is nonzero because r is not a square in the base field.
+    norm = _sub(_mul(lo, lo), _mul(_mul(hi, hi), t.radicand))
+    ninv = _inv(norm)
+    return Scalar(t, (_mul(lo, ninv), _neg(_mul(hi, ninv))))
 
 
-def _materialize(s: "Scalar", tower: Tower):
-    """Nested representation of s inside tower; s.tower must be an ancestor."""
-    if tower.base is None:
-        return s.val
-    if s.tower is tower:
-        lo, hi = s.val
-        return (_materialize(lo, tower.base), _materialize(hi, tower.base))
-    return (_materialize(s, tower.base), _nzero(tower.base))
-
-
-def _canonical(tower, u) -> "Scalar":
-    """Build a canonical (minimal-tower) Scalar from a nested value."""
-    while tower.base is not None and _niszero(tower.base, u[1]):
-        tower, u = tower.base, u[0]
-    if tower.base is None:
-        return Scalar(QQ, u)
-    lo = _canonical(tower.base, u[0])
-    hi = _canonical(tower.base, u[1])
-    return Scalar(tower, (lo, hi))
-
-
-def _nsqrt(tower, u):
-    """Square root of a nested value within its tower, or None."""
-    if tower.base is None:
-        return _fraction_sqrt(u)
-    b = tower.base
-    a, h = u
-    r = tower._rad_nested()
-    if _niszero(b, h):
-        p = _nsqrt(b, a)
+def _sqrt_in(s: "Scalar", tower: Tower):
+    """Square root of s within tower (s.tower an ancestor of it), or None."""
+    if tower is QQ:
+        root = _fraction_sqrt(s.val)
+        return None if root is None else Scalar(QQ, root)
+    base, r = tower.base, tower.radicand
+    if s.tower is not tower:
+        p = _sqrt_in(s, base)
         if p is not None:
-            return (p, _nzero(b))
-        # maybe a = q^2 * r, so sqrt(a) = q*sqrt(r)
-        q2 = _nmul(b, a, _ninv(b, r))
-        q = _nsqrt(b, q2)
-        if q is not None:
-            return (_nzero(b), q)
-        return None
+            return p
+        # maybe s = q^2 * r, so sqrt(s) = q*sqrt(r)
+        q = _sqrt_in(_mul(s, _inv(r)), base)
+        return None if q is None else Scalar(tower, (ZERO, q))
+    a, h = s.val
     # (p + q sqrt(r))^2 = a + h sqrt(r):  p^2 and q^2 r are the two roots of
     # z^2 - a z + h^2 r / 4 = 0.
-    disc = _nadd(b, _nmul(b, a, a),
-                 _nneg(b, _nmul(b, _nmul(b, h, h), r)))
-    d = _nsqrt(b, disc)
+    d = _sqrt_in(_sub(_mul(a, a), _mul(_mul(h, h), r)), base)
     if d is None:
         return None
-    half = _materialize(Scalar.from_rational(Fraction(1, 2)), b)
-    for sg in (d, _nneg(b, d)):
-        z = _nmul(b, _nadd(b, a, sg), half)
-        p = _nsqrt(b, z)
-        if p is None or _niszero(b, p):
+    for sg in (d, _neg(d)):
+        p = _sqrt_in(_mul(_add(a, sg), _HALF), base)
+        if p is None or p.is_zero():
             continue
-        q = _nmul(b, _nmul(b, h, half), _ninv(b, p))
-        cand = (p, q)
-        if _niszero(tower, _nadd(tower, _nmul(tower, cand, cand), _nneg(tower, u))):
+        cand = Scalar(tower, (p, _mul(_mul(h, _HALF), _inv(p))))
+        if _sub(_mul(cand, cand), s).is_zero():
             return cand
     return None
 
@@ -281,11 +261,10 @@ class Scalar:
             other = Scalar.coerce(other)
         except TypeError:
             return NotImplemented
-        tower, u, v = _common_nested(self, other)
-        return _canonical(tower, op(tower, u, v))
+        return op(*_on_one_chain(self, other))
 
     # purely rational operands dominate in practice, so the dunder
-    # methods shortcut the nested-tower machinery for that case
+    # methods shortcut the tower recursion for that case
 
     def __add__(self, other):
         if self.tower is QQ:
@@ -294,7 +273,7 @@ class Scalar:
                     return Scalar(QQ, self.val + other.val)
             elif isinstance(other, (int, Fraction)):
                 return Scalar(QQ, self.val + other)
-        return self._binary(other, _nadd)
+        return self._binary(other, _add)
 
     __radd__ = __add__
 
@@ -305,13 +284,12 @@ class Scalar:
                     return Scalar(QQ, self.val - other.val)
             elif isinstance(other, (int, Fraction)):
                 return Scalar(QQ, self.val - other)
-        return self._binary(other, lambda t, u, v: _nadd(t, u, _nneg(t, v)))
+        return self._binary(other, _sub)
 
     def __rsub__(self, other):
         if self.tower is QQ and isinstance(other, (int, Fraction)):
             return Scalar(QQ, other - self.val)
-        res = self._binary(other, lambda t, u, v: _nadd(t, v, _nneg(t, u)))
-        return res
+        return self._binary(other, lambda a, b: _sub(b, a))
 
     def __mul__(self, other):
         if self.tower is QQ:
@@ -320,7 +298,7 @@ class Scalar:
                     return Scalar(QQ, self.val * other.val)
             elif isinstance(other, (int, Fraction)):
                 return Scalar(QQ, self.val * other)
-        return self._binary(other, _nmul)
+        return self._binary(other, _mul)
 
     __rmul__ = __mul__
 
@@ -335,15 +313,15 @@ class Scalar:
                 if other == 0:
                     raise ZeroDivisionError("division by zero Scalar")
                 return Scalar(QQ, self.val / other)
-        return self._binary(other, lambda t, u, v: _nmul(t, u, _ninv(t, v)))
+        return self._binary(other, lambda a, b: _mul(a, _inv(b)))
 
     def __rtruediv__(self, other):
-        return self._binary(other, lambda t, u, v: _nmul(t, v, _ninv(t, u)))
+        return self._binary(other, lambda a, b: _mul(b, _inv(a)))
 
     def __neg__(self):
         if self.tower is QQ:
             return Scalar(QQ, -self.val)
-        return _canonical(self.tower, _nneg(self.tower, _materialize(self, self.tower)))
+        return _neg(self)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -360,7 +338,7 @@ class Scalar:
         return result
 
     def inverse(self) -> "Scalar":
-        return ONE / self
+        return _inv(self)
 
     # -- comparisons -------------------------------------------------------
 
@@ -370,10 +348,6 @@ class Scalar:
         except TypeError:
             return NotImplemented
         return (self - other).is_zero()
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash(self.key())
@@ -417,11 +391,7 @@ class Scalar:
             elif not working.is_ancestor_of(tower):
                 tower, conv = _merge_into(working, tower)
                 s = conv(s)
-        u = _materialize(s, tower)
-        root = _nsqrt(tower, u)
-        if root is None:
-            return None
-        return _canonical(tower, root)
+        return _sqrt_in(s, tower)
 
     # -- rendering ---------------------------------------------------------
 
@@ -447,22 +417,19 @@ class Scalar:
 
 ZERO = Scalar.from_rational(0)
 ONE = Scalar.from_rational(1)
+_HALF = Scalar.from_rational(Fraction(1, 2))
 
 
-def _common_nested(a: Scalar, b: Scalar):
-    if a.tower is b.tower:
-        t = a.tower
-    elif a.tower.is_ancestor_of(b.tower):
-        t = b.tower
-    elif b.tower.is_ancestor_of(a.tower):
-        t = a.tower
-    elif a.tower.depth >= b.tower.depth:
-        t, conv = _merge_into(a.tower, b.tower)
-        b = conv(b)
-    else:
-        t, conv = _merge_into(b.tower, a.tower)
-        a = conv(a)
-    return t, _materialize(a, t), _materialize(b, t)
+def _on_one_chain(a: Scalar, b: Scalar):
+    """a and b with their towers on one chain: when they are not, the
+    operand in the shallower tower (b on a tie) is carried into a tower
+    that extends the other's."""
+    ta, tb = a.tower, b.tower
+    if ta is tb or ta.is_ancestor_of(tb) or tb.is_ancestor_of(ta):
+        return a, b
+    if ta.depth >= tb.depth:
+        return a, _merge_into(ta, tb)[1](b)
+    return _merge_into(tb, ta)[1](a), b
 
 
 def _merge_into(target: Tower, other: Tower):

@@ -184,10 +184,7 @@ def kimura_test(e: ExponentDiffs) -> CriterionVerdict:
                 detail={"condition": "odd-sum", "signs": signs},
             )
     if not all(v.is_rational() for v in e.triple()):
-        return CriterionVerdict(
-            CriterionVerdict.INCONCLUSIVE,
-            "table membership needs rational entries",
-        )
+        return _family_one(e.triple())
     fracs = [v.as_fraction() for v in e.triple()]
     for perm in permutations(range(3)):
         for signs in product((1, -1), repeat=3):
@@ -211,21 +208,44 @@ def kimura_test(e: ExponentDiffs) -> CriterionVerdict:
     )
 
 
-# whether the natural numbers of the half-integer criterion include 0;
-# the Kovacic cross-check pins the inclusive reading
-NAT_INCLUDES_ZERO = True
+def _family_one(triple) -> CriterionVerdict:
+    """Table family 1, (1/2 + l, 1/2 + m, any value): the one family
+    whose third entry is free, so the one that can fit a triple with an
+    irrational entry."""
+    # -x lies in 1/2 + Z when x does, so the signs never matter
+    signs = (1, 1, 1)
+    for perm in permutations(range(3)):
+        first, second = triple[perm[0]], triple[perm[1]]
+        if not (first.is_rational() and second.is_rational()):
+            continue
+        values = (first.as_fraction(), second.as_fraction(), None)
+        hit = _row_match(values, _TABLE[0])
+        if hit is not None:
+            return CriterionVerdict(
+                CriterionVerdict.INTEGRABLE,
+                "table family 1",
+                detail={
+                    "condition": "table",
+                    "family": 1,
+                    "offsets": hit,
+                    "permutation": perm,
+                    "signs": signs,
+                },
+            )
+    return CriterionVerdict(
+        CriterionVerdict.INCONCLUSIVE,
+        "table membership needs rational entries",
+    )
 
 
-def martinet_ramis_test(p: WhittakerParams, nat_includes_zero=None):
+def martinet_ramis_test(p: WhittakerParams):
     """Integrability of the Whittaker equation: some +-kappa +- mu lies
     in 1/2 + N."""
-    if nat_includes_zero is None:
-        nat_includes_zero = NAT_INCLUDES_ZERO
+    # the natural numbers here include 0: the Kovacic cross-check pins
+    # the inclusive reading
     for sk, sm in product((1, -1), repeat=2):
         value = sk * p.kappa + sm * p.mu - Scalar.coerce(Fraction(1, 2))
         if not value.is_nonneg_integer():
-            continue
-        if not nat_includes_zero and value.is_zero():
             continue
         return CriterionVerdict(
             CriterionVerdict.INTEGRABLE,
@@ -253,21 +273,14 @@ def bessel_test(n) -> CriterionVerdict:
     )
 
 
-# band-matrix readings: the printed source for the second row is
-# ambiguous between the arithmetic pattern continued downward and a
-# literal "d xi w + 1" entry; the pattern reading is the one that
-# agrees with the Kovacic solver on the biconfluent family
-PI_READING_PATTERN = "pattern"
-PI_READING_LITERAL = "literal"
-PI_READING = PI_READING_PATTERN
-
-
-def pi_matrix(d, a, b, u, v, xi, w, reading=None):
+# the printed source for the second row of the band matrix is ambiguous
+# between the arithmetic pattern continued downward and a literal
+# "d xi w + 1" entry; the pattern reading is the one that agrees with
+# the Kovacic solver on the biconfluent family
+def pi_matrix(d, a, b, u, v, xi, w):
     """The (d+1) x (d+1) band matrix underlying pi_determinant."""
     if d < 0:
         raise ValueError("d must be non-negative")
-    if reading is None:
-        reading = PI_READING
     a, b, u, v, xi, w = (Scalar.coerce(t) for t in (a, b, u, v, xi, w))
     zero = Scalar.coerce(0)
     m = [[zero for _ in range(d + 1)] for _ in range(d + 1)]
@@ -279,24 +292,19 @@ def pi_matrix(d, a, b, u, v, xi, w, reading=None):
         m[k][k] = w + k * (v + (k - 1) * a)
         if k < d:
             m[k][k + 1] = (k + 1) * (u + k * b)
-    if reading == PI_READING_LITERAL and d >= 1:
-        m[1][0] = d * xi * w + 1
-        m[1][1] = v
-    elif reading != PI_READING_PATTERN:
-        raise ValueError("unknown reading %r" % reading)
     return m
 
 
-def pi_determinant(d, a, b, u, v, xi, w, reading=None) -> Scalar:
+def pi_determinant(d, a, b, u, v, xi, w) -> Scalar:
     """Exact determinant of the banded matrix."""
-    return det(pi_matrix(d, a, b, u, v, xi, w, reading=reading))
+    return det(pi_matrix(d, a, b, u, v, xi, w))
 
 
 def _sign_of(s: Scalar) -> int:
     return 1 if s.as_fraction() > 0 else -1
 
 
-def biconfluent_heun_test(p: BiconfluentParams, reading=None):
+def biconfluent_heun_test(p: BiconfluentParams):
     """Liouvillian solvability of the biconfluent equation.
 
     Three clauses, tried in order; the determinant conditions use the
@@ -318,8 +326,7 @@ def biconfluent_heun_test(p: BiconfluentParams, reading=None):
             eps = -_sign_of(d2)
             s = (k - 1) // 2
             value = pi_determinant(
-                s - 1, 0, 1, 2, eps * d1, -2 * eps, eps * d1 - d3 / 2,
-                reading=reading,
+                s - 1, 0, 1, 2, eps * d1, -2 * eps, eps * d1 - d3 / 2
             )
             if value.is_zero():
                 return CriterionVerdict(
@@ -345,7 +352,6 @@ def biconfluent_heun_test(p: BiconfluentParams, reading=None):
                 flip * d1,
                 -2 * flip,
                 (flip * d1 * u - d3) / 2,
-                reading=reading,
             )
             if value.is_zero():
                 return CriterionVerdict(

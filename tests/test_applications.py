@@ -273,10 +273,29 @@ class TestLienardReduce:
             lienard1_reduce(Lienard1Params(a=1, b=1, c=2, m=1, k=1))
 
     def test_irrational_nu(self):
-        # 1 - 4C < 0: nu leaves the rationals and no clause fires
+        # 1 - 4C < 0: nu leaves the rationals, and mu = -3/2 puts the
+        # pair in row (a), the row that leaves nu free
         red = lienard1_reduce(Lienard1Params(a=1, b=1, c=1, m=1, k=2))
         assert not red.nu_roots[0].is_rational()
+        assert red.verdict.is_integrable
+        assert red.verdict.detail == {"clause": 2, "row": "(a)"}
+        assert self._kovacic_liouvillian(red)
+
+    def test_irrational_nu_outside_row_a(self):
+        # mu = -1 and nu = -1/2 + sqrt(-3)/2: no clause fits, and Kovacic
+        # finds Case 4
+        red = lienard1_reduce(Lienard1Params(a=1, b=1, c=1, m=1, k=1))
+        assert red.mu == Scalar.coerce(-1)
+        assert not red.nu_roots[0].is_rational()
         assert not red.verdict.is_integrable
+        assert not self._kovacic_liouvillian(red)
+
+    @staticmethod
+    def _kovacic_liouvillian(red):
+        # the Legendre equation with parameters (mu, nu) has exponent
+        # differences (mu, mu, 2 nu + 1)
+        rho = hypergeometric_rho(red.mu, red.mu, 2 * red.nu_roots[0] + 1)
+        return solve_rlde(rho).case != 4
 
     def test_root_choice_irrelevant(self):
         # the two roots sum to -1, and the criterion is invariant

@@ -112,6 +112,13 @@ class TestExitCodes:
         assert out == ""
         assert "position 9" in err
 
+    def test_power_size_above_bound(self, capsys):
+        rho = "((2^1000)^1000)^1000"
+        code, out, err = run(capsys, "solve", "--rho", rho, "--no-timing")
+        assert code == 2
+        assert out == ""
+        assert "position 15" in err
+
     def test_unsupported_tower(self, capsys):
         code, _, err = run(
             capsys,

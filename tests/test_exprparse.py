@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from riccati_galois.bivar import BivarPoly
 from riccati_galois.exprparse import (
     MAX_EXPONENT,
+    MAX_POWER_BITS,
     ParseError,
     parse,
     parse_ratfunc,
@@ -265,3 +266,33 @@ class TestExponentBound:
             parse_ratfunc(src)
         assert err.value.position == position
         assert str(MAX_EXPONENT) in str(err.value)
+
+
+class TestPowerSizeBound:
+    def test_large_inputs_still_parse(self):
+        value = parse_ratfunc("(x + 1/3)^%d / (x - 1)" % MAX_EXPONENT)
+        assert value.num.degree() == MAX_EXPONENT
+        assert parse_scalar("(2^1000)^1000") == 2 ** 10**6
+        vf = parse_vectorfield("(x + y + 2^10)^20; 1")
+        assert vf.p.total_degree() == 20
+
+    @pytest.mark.parametrize(
+        "src,position",
+        [
+            # a 10^9-bit integer and 1001 coefficients of about 10^6
+            # bits: both stop at the outer ^ before any arithmetic
+            ("((2^1000)^1000)^1000", 15),
+            ("(x + 2^1000)^1000", 12),
+        ],
+    )
+    def test_above_bound_is_a_parse_error(self, src, position):
+        with pytest.raises(ParseError) as err:
+            parse_ratfunc(src)
+        assert err.value.position == position
+        assert str(MAX_POWER_BITS) in str(err.value)
+
+    def test_bivariate_power_counts_every_monomial(self):
+        # total degree 1000 has about 5*10^5 monomials
+        with pytest.raises(ParseError) as err:
+            parse_vectorfield("(x + y + 2^1000)^1000; 1")
+        assert err.value.position == 16

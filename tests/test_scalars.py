@@ -1,9 +1,13 @@
+import json
+from contextlib import contextmanager
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from riccati_galois.scalars import (
+    QQ,
     Scalar,
     UnsupportedFieldError,
     ZERO,
@@ -173,3 +177,166 @@ class TestRendering:
         vals = [scalar_sqrt(2), S(1), scalar_sqrt(3), S(F(1, 2))]
         ordered = sorted(vals, key=lambda s: s.sort_key())
         assert sorted(ordered, key=lambda s: s.sort_key()) == ordered
+
+
+@contextmanager
+def tower_depth(depth):
+    previous = get_max_tower_depth()
+    set_max_tower_depth(depth)
+    try:
+        yield
+    finally:
+        set_max_tower_depth(previous)
+
+
+def assert_canonical(s):
+    """The stored form: a rational, or lo + hi*sqrt(radicand) with
+    hi != 0 and both halves canonical over ancestors of tower.base."""
+    if s.tower is QQ:
+        assert isinstance(s.val, F)
+        return
+    lo, hi = s.val
+    assert not hi.is_zero()
+    for half in (lo, hi):
+        assert half.tower.is_ancestor_of(s.tower.base)
+        assert_canonical(half)
+
+
+def pinned_cases():
+    """Named tower computations whose str() and key() are pinned."""
+    r2, r3, r5, r6, i = (scalar_sqrt(n) for n in (2, 3, 5, 6, -1))
+    n = scalar_sqrt(1 + r5)
+    half = S(F(1, 2))
+
+    def depth3(thunk):
+        def run():
+            with tower_depth(3):
+                return thunk()
+        return run
+
+    return [
+        ("sqrt2", lambda: r2),
+        ("sqrt2_sum", lambda: F(1, 3) + r2),
+        ("sqrt2_rsub", lambda: 1 - r2),
+        ("sqrt2_product", lambda: (1 + r2) * (3 - 2 * r2)),
+        ("sqrt2_quotient", lambda: (1 + r2) / (3 - 2 * r2)),
+        ("sqrt2_rtruediv", lambda: 2 / (1 + r2)),
+        ("sqrt2_inverse", lambda: (F(2, 3) - 5 * r2).inverse()),
+        ("sqrt2_cancel", lambda: (1 + r2) - r2),
+        ("sqrt2_pow", lambda: (1 - r2) ** 5),
+        ("sqrt2_negative_pow", lambda: (1 - r2) ** -3),
+        ("sqrt2_sqrt_square", lambda: ((1 + r2) ** 2).sqrt()),
+        ("sqrt2_sqrt_nonsquare", lambda: (1 + r2).sqrt()),
+        ("sqrt2_sqrt_times_radicand", lambda: (3 * r2).sqrt()),
+        ("sqrt18", lambda: scalar_sqrt(18)),
+        ("sqrt_half", lambda: scalar_sqrt(F(1, 2))),
+        ("i", lambda: i),
+        ("i_product", lambda: (2 + i) * (3 - 4 * i)),
+        ("i_quotient", lambda: (2 + i) / (1 - i)),
+        ("i_sqrt_square", lambda: (3 + 4 * i).sqrt()),
+        ("i_sqrt_negative_rational", lambda: (-4 * (1 + 0 * i)).sqrt()),
+        ("i_sqrt_nonsquare", lambda: i.sqrt()),
+        ("merge_sum", lambda: r2 + r3),
+        ("merge_sum_reversed", lambda: r3 + r2),
+        ("merge_product", lambda: r2 * r3),
+        ("merge_conjugates", lambda: (r2 + r3) * (r2 - r3)),
+        ("merge_square", lambda: (r2 + r3) ** 2),
+        ("merge_sqrt_square", lambda: ((r2 + r3) ** 2).sqrt()),
+        ("merge_inverse", lambda: (1 + r2 + r3).inverse()),
+        ("merge_quotient", lambda: (r2 + r3) / (r2 - r3)),
+        ("merge_cancel_top", lambda: (r2 + r3) - r3),
+        ("merge_sqrt6", lambda: r2 * r3 - r6 + r2),
+        ("merge_sqrt6_first", lambda: r6 + r2 * r3),
+        ("merge_sqrt_times_half", lambda: (half * (5 + 2 * r6)).sqrt()),
+        ("nested", lambda: n),
+        ("nested_square", lambda: n * n),
+        ("nested_sum", lambda: n + r5),
+        ("nested_product", lambda: (n + 1) * (n - r5)),
+        ("nested_inverse", lambda: (1 + n).inverse()),
+        ("nested_generator_inverse", lambda: n.inverse()),
+        ("nested_sqrt_square", lambda: (n ** 2 + 2 * n + 1).sqrt()),
+        ("nested_quotient", lambda: n ** 3 / (r5 * n)),
+        ("depth3_merge", depth3(lambda: (r5 + r3) + ((r2 + r5) - r2))),
+        ("depth3_triple", depth3(lambda: r2 + r3 + r5)),
+        ("depth3_product", depth3(lambda: (r2 + r3 + r5) * (r2 - r3 + r5))),
+        ("depth3_inverse", depth3(lambda: (1 + r2 + r3 + r5).inverse())),
+        ("depth3_sqrt_square", depth3(lambda: ((r2 + r3 + r5) ** 2).sqrt())),
+        ("depth3_i_merge", depth3(lambda: i * (r2 + r3))),
+        ("depth3_nested_sqrt", depth3(lambda: (1 + n).sqrt())),
+    ]
+
+
+# str() and repr(key()) of each pinned case, recorded before tower
+# arithmetic moved onto the canonical halves; the stored form must not
+# change, so every key and rendering stays byte-identical
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "scalar_pinned.json").read_text()
+)
+CASES = pinned_cases()
+
+
+def test_pinned_table_covers_every_case():
+    assert [name for name, _ in CASES] == [r["name"] for r in PINNED]
+
+
+@pytest.mark.parametrize("name,thunk", CASES, ids=[name for name, _ in CASES])
+def test_pinned_scalars(name, thunk):
+    row = next(r for r in PINNED if r["name"] == name)
+    value = thunk()
+    assert_canonical(value)
+    assert str(value) == row["str"]
+    assert repr(value.key()) == row["key"]
+
+
+def test_depth3_merge_keeps_every_radical():
+    # the operands of the outer sum live in Q(sqrt 5)(sqrt 3) and, after
+    # the inner difference, Q(sqrt 2)(sqrt 5) reduced to Q(sqrt 5): the
+    # merge adjoins sqrt 2 above both, and the sum belongs in the deeper
+    # operand tower, not the merged one
+    r2, r3, r5 = (scalar_sqrt(n) for n in (2, 3, 5))
+    with tower_depth(3):
+        value = (r5 + r3) + ((r2 + r5) - r2)
+        assert value == 2 * r5 + r3
+        assert value - 2 * r5 == r3
+    assert_canonical(value)
+
+
+small_coords = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+biquadratic = st.tuples(small_coords, small_coords, small_coords, small_coords)
+
+
+def _q23(coords):
+    """c0 + c1 sqrt2 + c2 sqrt3 + c3 sqrt2 sqrt3, built by merging."""
+    r2, r3 = scalar_sqrt(2), scalar_sqrt(3)
+    c0, c1, c2, c3 = coords
+    return c0 + c1 * r2 + c2 * r3 + c3 * r2 * r3
+
+
+@given(biquadratic, biquadratic, biquadratic)
+@settings(max_examples=60, deadline=None)
+def test_biquadratic_field_laws(x, y, z):
+    a, b, c = _q23(x), _q23(y), _q23(z)
+    results = [
+        a + b, a * b, a - b, -a, (a + b) + c, a + (b + c),
+        (a * b) * c, a * (b * c), a * (b + c), a * b + a * c,
+    ]
+    for r in results + [a, b, c]:
+        assert_canonical(r)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert results[4] == results[5]
+    assert results[6] == results[7]
+    assert results[8] == results[9]
+    assert (a - b) + b == a
+    assert (a + -a).is_zero()
+    if not a.is_zero():
+        inv = a.inverse()
+        assert_canonical(inv)
+        assert a * inv == 1
+        quot = b / a
+        assert_canonical(quot)
+        assert quot * a == b
+    square = a * a
+    root = square.sqrt()
+    assert_canonical(root)
+    assert root * root == square

@@ -4,6 +4,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riccati_galois.applications import hypergeometric_rho
 from riccati_galois.kovacic import solve_rlde
 from riccati_galois.poly import Poly
 from riccati_galois.ratfunc import RatFunc
@@ -108,6 +109,21 @@ class TestKimura:
         v = kimura_test(ExponentDiffs(s2, F(1, 3), F(1, 3)))
         assert v.status == CriterionVerdict.INCONCLUSIVE
 
+    @pytest.mark.parametrize(
+        "triple",
+        [(F(1, 2), F(1, 2), 2), (2, F(-1, 2), F(3, 2)), (F(5, 2), -3, F(1, 2))],
+    )
+    def test_irrational_family_one(self, triple):
+        # family 1 leaves one entry free: two entries in 1/2 + Z make
+        # the equation integrable whatever the third, here sqrt(2) or
+        # sqrt(-3); Kovacic confirms
+        e = tuple(Scalar.coerce(t).sqrt() if isinstance(t, int) else t
+                  for t in triple)
+        v = kimura_test(ExponentDiffs(*e))
+        assert v.is_integrable
+        assert v.detail["family"] == 1
+        assert solve_rlde(hypergeometric_rho(*e)).case != 4
+
     def test_irrational_odd_sum(self):
         s2 = Scalar.coerce(2).sqrt()
         v = kimura_test(ExponentDiffs(s2, -s2, 3))
@@ -145,8 +161,7 @@ class TestMartinetRamis:
         # kappa + mu = 1/2 exactly: only the zero-inclusive reading
         # accepts it, and that reading matches the solver
         p = WhittakerParams(F(1, 4), F(1, 4))
-        assert martinet_ramis_test(p, nat_includes_zero=True).is_integrable
-        assert not martinet_ramis_test(p, nat_includes_zero=False).is_integrable
+        assert martinet_ramis_test(p).is_integrable
         assert solve_rlde(p.reduced_rho()).case != 4
 
     def test_sign_symmetry(self):
@@ -189,11 +204,6 @@ class TestPiDeterminant:
         val = pi_determinant(1, 0, 1, 2, 3, -2, 5)
         assert val == Scalar.coerce(5 * 8 + 4)
 
-    def test_literal_reading_differs(self):
-        a = pi_determinant(1, 0, 1, 2, 3, -2, 5, reading="pattern")
-        b = pi_determinant(1, 0, 1, 2, 3, -2, 5, reading="literal")
-        assert a != b
-
     def test_band_structure(self):
         m = pi_matrix(3, 1, 2, 3, 4, 5, 6)
         for i in range(4):
@@ -204,10 +214,6 @@ class TestPiDeterminant:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             pi_determinant(-1, 0, 0, 0, 0, 0, 0)
-
-    def test_unknown_reading_rejected(self):
-        with pytest.raises(ValueError):
-            pi_determinant(1, 0, 0, 0, 0, 0, 0, reading="middle")
 
     @given(
         st.integers(min_value=0, max_value=5),
