@@ -13,12 +13,32 @@ the degree map m = scale * (e_inf - sum e_c) and a candidate builder
 (operator, monic kernel polynomial of degree m, check); it tests m on
 integers.  Cases 2 and 3 share _exponent_sets.  Case 2 keeps Kovacic's
 2 + k sqrt(1 + 4b), scale 1/2: rescaled sets sort (Scalar.sort_key)
-into another candidate order.  Case 3 runs Kovacic's P_i recursion on
-integer lists (_case3_chain), for the operator and the certificate.
+into another candidate order.  The order-2 roots sqrt(1 + 4b) are
+found once per equation (_order2_roots) and shared by the three cases.
+
+Each builder forms its operator once per candidate, as polynomial
+coefficients a_k over one cleared denominator, so that the image of x^j
+is sum_k a_k j (j-1) ... (j-k+1) x^(j-k) (_images) and no RatFunc, gcd
+or lcm is needed before the system is solved:
+  case 1: times B^2 M, for omega = A/B and r = N/M (_Case1Operator);
+    A sums one share per point, and RatFunc(A, B) is built only for a
+    consistent candidate;
+  case 2: times S M^2, S the product of x - c over the poles, which
+    divides M (_Case2Operator); theta is built only for a consistent
+    candidate;
+  case 3: S theta is a sum of e_c n/12 S/(x - c), and Kovacic's P_i
+    recursion runs on integer lists (_case3_chain), for the images and
+    the certificate.
+_monic_poly_solution solves integer rows by fraction-free elimination
+(linalg.solve_fraction_free); rows with tower coefficients keep
+linalg.solve.  A nonzero polynomial factor keeps the solution set, and
+both solvers set free variables to zero, so each candidate gets the P
+it got from the uncleared operator.
 
 Every positive answer carries an exact certificate and is re-verified
 symbolically before being returned:
-  case 1: P'' + 2 omega P' + (omega' + omega^2 - r) P = 0
+  case 1: P'' + 2 omega P' + (omega' + omega^2 - r) P = 0, as the
+  polynomial identity it is times B^2 M (verify_case1)
   cases 2, 3: the defining polynomial F(omega) is checked to be closed
   under the Riccati flow, i.e. F_x + F_omega (r - omega^2) = 0 mod F,
   which certifies that every root of F solves omega' = r - omega^2.
@@ -29,9 +49,9 @@ from functools import partial
 from math import factorial, lcm as ilcm
 
 from .formal import FormalIntegral, FormalProduct
-from .linalg import solve
+from .linalg import solve, solve_fraction_free
 from .odeforms import ReducedODE
-from .poly import Poly, _rational_coeffs, lcm
+from .poly import Poly, _rational_coeffs
 from .ratfunc import RatFunc
 from .scalars import QQ, Scalar
 
@@ -173,12 +193,24 @@ def _order2_root(r: RatFunc, point):
     return (1 + 4 * coeffs[0]).sqrt()
 
 
-def classify_point_case1(r: RatFunc, point, order=None) -> LocalData:
+def _order2_roots(r: RatFunc, poles):
+    """_order2_root at each pole of order 2 and, last, at INFINITY if r
+    has order 2 there; None elsewhere.  Computed once per equation."""
+    roots = [_order2_root(r, c) if order == 2 else None for c, order in poles]
+    o = r.order_at_infinity()
+    roots.append(_order2_root(r, INFINITY) if o == 2 else None)
+    return roots
+
+
+def classify_point_case1(
+    r: RatFunc, point, order=None, root=None
+) -> LocalData:
     """Local exponent data for Case 1 at a finite point or INFINITY.
 
     subcase is None when the point rules Case 1 out (odd pole order
     >= 3, or an odd growth order at infinity).  order, the pole order
-    at a finite point, is computed when not given.
+    at a finite point, and root, the point's _order2_root where its
+    order is 2, are computed when not given.
     """
     zero = Scalar.coerce(0)
     if point is INFINITY:
@@ -186,7 +218,8 @@ def classify_point_case1(r: RatFunc, point, order=None) -> LocalData:
         if o is None or o > 2:
             return LocalData(point, "inf1", Poly([]), zero, Scalar.coerce(1))
         if o == 2:
-            root = _order2_root(r, INFINITY)
+            if root is None:
+                root = _order2_root(r, INFINITY)
             return LocalData(
                 point, "inf2", Poly([]), (1 + root) / 2, (1 - root) / 2
             )
@@ -210,7 +243,8 @@ def classify_point_case1(r: RatFunc, point, order=None) -> LocalData:
         one = Scalar.coerce(1)
         return LocalData(c, "c1", RatFunc.coerce(0), one, one)
     if order == 2:
-        root = _order2_root(r, c)
+        if root is None:
+            root = _order2_root(r, c)
         return LocalData(
             c, "c2", RatFunc.coerce(0), (1 + root) / 2, (1 - root) / 2
         )
@@ -230,45 +264,82 @@ def classify_point_case1(r: RatFunc, point, order=None) -> LocalData:
 
 def _monic_poly_solution(images):
     """Monic polynomial of degree m = len(images) - 1 in the kernel of a
-    linear operator, or None; images[j] is the image of x^j, a Poly or a
-    RatFunc."""
+    linear operator, or None.  images[j] is the coefficient list of the
+    image of x^j, low order first, all images times one nonzero factor.
+    Integer rows take the fraction-free solve, tower rows linalg.solve."""
     m = len(images) - 1
-    images = [RatFunc.coerce(im) for im in images]
-    den = Poly([1])
+    max_deg = -1
     for im in images:
-        den = lcm(den, im.den)
-    nums = [im.num * den.exact_div(im.den) for im in images]
-    max_deg = max((n.degree() for n in nums), default=-1)
+        for k in range(len(im) - 1, max_deg, -1):
+            if im[k]:
+                max_deg = k
+                break
     if max_deg < 0:
         # operator kills every monomial; any monic choice works
         return Poly.monomial(1, m)
-    if m == 0:
-        return Poly([1]) if nums[0].is_zero() else None
-    rows = []
-    rhs = []
-    for k in range(max_deg + 1):
-        rows.append([nums[j].coeff(k) for j in range(m)])
-        rhs.append(-nums[m].coeff(k))
-    sol = solve(rows, rhs)
+    if m == 0:  # the image of 1 is not zero
+        return None
+    images = [im + [0] * (max_deg + 1 - len(im)) for im in images]
+    rows = [[im[k] for im in images[:m]] for k in range(max_deg + 1)]
+    rhs = [-c for c in images[m][: max_deg + 1]]
+    if all(type(c) is int for im in images for c in im):
+        sol = solve_fraction_free(rows, rhs)
+    else:
+        sol = solve(rows, rhs)
     if sol is None:
         return None
     return Poly(list(sol) + [1])
 
 
+def _images(ops, m):
+    """Coefficient lists of L(x^j), j = 0..m, for L = sum_k ops[k] D^k
+    with polynomial ops[k]:
+        L(x^j) = sum_k j (j-1) ... (j-k+1) ops[k] x^(j-k).
+    Rational ops are scaled to integer lists over one denominator."""
+    _, lists = _integer_lists(*ops)
+    width = max(len(a) for a in lists)
+    images = []
+    for j in range(m + 1):
+        out = [0] * (j + width)
+        falling = 1  # j (j-1) ... (j-k+1)
+        for k, a in enumerate(lists):
+            if k:
+                falling *= j - k + 1
+            if not falling:
+                break
+            for i, c in enumerate(a, j - k):
+                out[i] += falling * c
+        images.append(out)
+    return images
+
+
+class _Case1Operator:
+    """B^2 M times P -> P'' + 2 omega P' + (omega' + omega^2 - r) P for
+    omega = A/B and r = N/M: a2 D^2 + a1 D + a0 with
+        a2 = B^2 M,  a1 = 2 A B M,  a0 = M (A' B - A B' + A^2) - B^2 N.
+    Built once per B and r; coeffs(A) is [a0, a1, a2]."""
+
+    __slots__ = ("b", "b1", "m", "bm2", "b2m", "b2n")
+
+    def __init__(self, b, r):
+        bm = b * r.den
+        self.b, self.b1, self.m = b, b.derivative(), r.den
+        self.bm2, self.b2m, self.b2n = bm.scale(2), b * bm, b * b * r.num
+
+    def coeffs(self, a):
+        b = self.b
+        a0 = self.m * (a.derivative() * b - a * self.b1 + a * a) - self.b2n
+        return [a0, a * self.bm2, self.b2m]
+
+
 def verify_case1(r: RatFunc, omega: RatFunc, p: Poly) -> bool:
-    """Exact check of P'' + 2 omega P' + (omega' + omega^2 - r) P = 0."""
-    p = Poly.coerce(p)
-    lhs = (
-        RatFunc.coerce(p.derivative().derivative())
-        + 2 * omega * RatFunc.coerce(p.derivative())
-        + (omega.derivative() + omega * omega - r) * RatFunc.coerce(p)
-    )
-    return lhs.is_zero()
-
-
-def _images(op, m):
-    """op(x^j) for j = 0..m."""
-    return [op(Poly.monomial(1, j)) for j in range(m + 1)]
+    """Exact check of P'' + 2 omega P' + (omega' + omega^2 - r) P = 0,
+    as the polynomial identity it is times B^2 M for omega = A/B and
+    r = N/M (_Case1Operator)."""
+    r, omega, p = RatFunc.coerce(r), RatFunc.coerce(omega), Poly.coerce(p)
+    a0, a1, a2 = _Case1Operator(omega.den, r).coeffs(omega.num)
+    p1 = p.derivative()
+    return (a2 * p1.derivative() + a1 * p1 + a0 * p).is_zero()
 
 
 def _rational_part(e: Scalar) -> Fraction:
@@ -338,46 +409,65 @@ def _surds_cancel(surds, choice):
     return acc.is_zero()
 
 
-def case1(r: RatFunc, poles=None):
+def case1(r: RatFunc, poles=None, roots=None):
     r = RatFunc.coerce(r)
-    data_inf = classify_point_case1(r, INFINITY)
+    root_inf = None if roots is None else roots[-1]
+    data_inf = classify_point_case1(r, INFINITY, root=root_inf)
     if data_inf.subcase is None:
         return None
+    if poles is None:
+        poles = r.poles()
+    if roots is None:
+        roots = [None] * len(poles)  # classify_point_case1 finds them
     locals_ = []
-    for c, order in r.poles() if poles is None else poles:
-        d = classify_point_case1(r, c, order)
+    for (c, order), root in zip(poles, roots):
+        d = classify_point_case1(r, c, order, root)
         if d.subcase is None:
             return None
         locals_.append(d)
 
-    def build(signs, m):
-        omega = RatFunc.coerce(data_inf.sqrt_head) * signs[-1]
-        for d, sg in zip(locals_, signs):
-            omega = omega + RatFunc.coerce(d.sqrt_head) * sg
-            omega = omega + RatFunc(Poly([d.alpha(sg)]), Poly([-d.point, 1]))
-        vfun = omega.derivative() + omega * omega - r
-
-        def op(q):
-            return (
-                RatFunc.coerce(q.derivative().derivative())
-                + 2 * omega * RatFunc.coerce(q.derivative())
-                + vfun * RatFunc.coerce(q)
-            )
-
-        p = _monic_poly_solution(_images(op, m))
-        if p is not None and verify_case1(r, omega, p):
-            return Case1Result(omega, p, m)
-        return None
-
+    # omega = A/B, B = prod (x - c)^v with v the pole order of omega at
+    # c: that of the head at a c3 pole, else 1.  Each point has a share
+    # of A per sign, its head and alpha/(x - c) times B, and a
+    # candidate's A is the sum of the shares it picks.
+    lins = [Poly([-d.point, 1]) for d in locals_]
+    vs = [max(1, d.sqrt_head.den.degree()) for d in locals_]
+    b = Poly([1])
+    for lin, v in zip(lins, vs):
+        b = b * lin**v
     points = locals_ + [data_inf]
-    signs = []
-    for d in points:
+    signs, shares = [], []
+    for i, d in enumerate(points):
         # equal alphas and a zero head (a simple pole): one omega, one sign
         head = RatFunc.coerce(d.sqrt_head)
         same = d.alpha_plus == d.alpha_minus and head.is_zero()
         signs.append((1,) if same else (1, -1))
+        if d is data_inf:
+            head_share, pole_share = head.num * b, Poly([])
+        else:
+            rest = b.exact_div(lins[i] ** vs[i])
+            head_share = head.num * rest
+            pole_share = rest * lins[i] ** (vs[i] - 1)
+        shares.append([
+            head_share.scale(sg) + pole_share.scale(d.alpha(sg))
+            for sg in signs[-1]
+        ])
+    op = _Case1Operator(b, r)
+
+    def build(choice, m):
+        a = Poly([])
+        for share in choice:
+            a = a + share
+        p = _monic_poly_solution(_images(op.coeffs(a), m))
+        if p is None:
+            return None
+        omega = RatFunc(a, b)
+        if verify_case1(r, omega, p):
+            return Case1Result(omega, p, m)
+        return None
+
     alphas = [[d.alpha(sg) for sg in sgs] for d, sgs in zip(points, signs)]
-    return _search(alphas, signs, Fraction(1), build)
+    return _search(alphas, shares, Fraction(1), build)
 
 
 def _omega_mod(g, f):
@@ -421,19 +511,20 @@ def verify_algebraic_riccati(r: RatFunc, coeffs) -> bool:
     return not _omega_mod(g, f)
 
 
-def _exponent_sets(r: RatFunc, poles, center, ns):
+def _exponent_sets(r: RatFunc, poles, roots, center, ns):
     """Per n in ns, lazily: E_c of Cases 2 and 3, finite poles first.  A
     pole of order 2, and infinity of order o >= 2 (b = 0 if o > 2), get
     center + (2 center k / n) sqrt(1 + 4b), |k| <= n/2, in sort_key order;
-    a simple pole {2 center}, a pole of order k > 2 {k}, infinity {o}."""
+    a simple pole {2 center}, a pole of order k > 2 {k}, infinity {o}.
+    roots are _order2_roots(r, poles)."""
     local = [
-        _order2_root(r, c)
+        root
         if order == 2
         else [Scalar.coerce(2 * center if order == 1 else order)]
-        for c, order in poles
+        for (_, order), root in zip(poles, roots)
     ]
     o = r.order_at_infinity()
-    root = _order2_root(r, INFINITY) if o == 2 else Scalar.coerce(1)
+    root = roots[-1] if o == 2 else Scalar.coerce(1)
     local.append(root if o >= 2 else [Scalar.coerce(o)])
     for n in ns:
         sets = []
@@ -447,45 +538,86 @@ def _exponent_sets(r: RatFunc, poles, center, ns):
         yield sets
 
 
-def _theta(poles, exponents, scale):
-    """theta = sum scale * e_c / (x - c) over the finite poles."""
-    theta = RatFunc.coerce(0)
-    for (c, _), e_c in zip(poles, exponents):
-        theta = theta + RatFunc(Poly([e_c * scale]), Poly([-c, 1]))
-    return theta
+def _pole_product(poles):
+    """S = prod (x - c) over the poles, and S / (x - c) for each."""
+    lins = [Poly([-c, 1]) for c, _ in poles]
+    s_poly = Poly([1])
+    for lin in lins:
+        s_poly = s_poly * lin
+    return s_poly, [s_poly.exact_div(lin) for lin in lins]
 
 
-def case2(r: RatFunc, poles=None):
+def _s_theta(cofactors, exponents, scale):
+    """S theta for theta = sum scale e_c / (x - c) over the poles, with
+    S / (x - c) in cofactors (_pole_product)."""
+    acc = Poly([])
+    for f, e_c in zip(cofactors, exponents):
+        acc = acc + f.scale(e_c * scale)
+    return acc
+
+
+class _Case2Operator:
+    """S M^2 times Kovacic's Case 2 operator
+        D^3 + 3 theta D^2 + coef1 D + coef0,
+        coef1 = 3 theta' + 3 theta^2 - 4 r,
+        coef0 = theta'' + 3 theta theta' + theta^3 - 4 r theta - 2 r',
+    for theta = T/S, S the product of x - c over the poles, and r = N/M.
+    S divides M = S K, so with U = T' S - T S' (theta' = U / S^2) it is
+    a3 D^3 + a2 D^2 + a1 D + a0 with
+        a3 = S M^2,  a2 = 3 T M^2,  a1 = 3 (U + T^2) M K - 4 N S M,
+        a0 = ((T'' S - T S'') S + (3 T - 2 S') U + T^3) K^2 - 4 N T M
+             - 2 S (N' M - N M').
+    Built once per equation; coeffs(T) is [a0, a1, a2, a3]."""
+
+    __slots__ = (
+        "s", "s1", "s2", "n", "m", "mk", "k2", "m2", "a3", "a1_r", "a0_r"
+    )
+
+    def __init__(self, s_poly, r):
+        n, m = r.num, r.den
+        k = m.exact_div(s_poly)
+        self.s, self.s1 = s_poly, s_poly.derivative()
+        self.s2 = self.s1.derivative()
+        self.n, self.m = n, m
+        self.mk, self.k2, self.m2 = m * k, k * k, m * m
+        self.a3 = s_poly * self.m2
+        self.a1_r = (n * s_poly * m).scale(-4)
+        rp = n.derivative() * m - n * m.derivative()  # r' = rp / M^2
+        self.a0_r = (s_poly * rp).scale(-2)
+
+    def coeffs(self, t):
+        s, s1 = self.s, self.s1
+        t1 = t.derivative()
+        u = t1 * s - t * s1
+        w = (t1.derivative() * s - t * self.s2) * s
+        w = w + (t.scale(3) - s1.scale(2)) * u + t * t * t
+        return [
+            w * self.k2 - (self.n * t * self.m).scale(4) + self.a0_r,
+            (u + t * t).scale(3) * self.mk + self.a1_r,
+            t.scale(3) * self.m2,
+            self.a3,
+        ]
+
+
+def case2(r: RatFunc, poles=None, roots=None):
     r = RatFunc.coerce(r)
     if poles is None:
         poles = r.poles()
     if not poles:
         return None
+    if roots is None:
+        roots = _order2_roots(r, poles)
     # Kovacic's E_c: {2, 2 +- 2 sqrt(1 + 4b)}, m = (e_inf - sum e_c) / 2
-    sets = next(_exponent_sets(r, poles, 2, [2]))
-    rp = r.derivative()
+    sets = next(_exponent_sets(r, poles, roots, 2, [2]))
+    s_poly, cofactors = _pole_product(poles)
+    op = _Case2Operator(s_poly, r)
 
     def build(choice, m):
-        theta = _theta(poles, choice[:-1], Fraction(1, 2))
-        tp = theta.derivative()
-        tpp = tp.derivative()
-        coef1 = 3 * tp + 3 * theta * theta - 4 * r
-        coef0 = tpp + 3 * theta * tp + theta**3 - 4 * r * theta - 2 * rp
-
-        def op(q):
-            q1 = q.derivative()
-            q2 = q1.derivative()
-            q3 = q2.derivative()
-            return (
-                RatFunc.coerce(q3)
-                + 3 * theta * RatFunc.coerce(q2)
-                + coef1 * RatFunc.coerce(q1)
-                + coef0 * RatFunc.coerce(q)
-            )
-
-        p = _monic_poly_solution(_images(op, m))
+        t = _s_theta(cofactors, choice[:-1], Fraction(1, 2))
+        p = _monic_poly_solution(_images(op.coeffs(t), m))
         if p is None:
             return None
+        theta = RatFunc(t, s_poly)
         phi = theta + RatFunc.coerce(p.derivative()) / RatFunc.coerce(p)
         n0 = (phi.derivative() + phi * phi - 2 * r) / 2
         quadratic = (n0, -phi, RatFunc.coerce(1))
@@ -496,23 +628,22 @@ def case2(r: RatFunc, poles=None):
     return _search(sets, sets, Fraction(1, 2), build)
 
 
-def case3(r: RatFunc, poles=None):
+def case3(r: RatFunc, poles=None, roots=None):
     r = RatFunc.coerce(r)
     if poles is None:
         poles = r.poles()
     if not poles or any(o > 2 for _, o in poles) or r.order_at_infinity() < 2:
         return None
-    s_poly = Poly([1])
-    for c, _ in poles:
-        s_poly = s_poly * Poly([-c, 1])
+    if roots is None:
+        roots = _order2_roots(r, poles)
+    s_poly, cofactors = _pole_product(poles)
     s2r = (RatFunc.coerce(s_poly) ** 2 * r).as_poly()
 
     def build(choice, m, n):
-        theta = _theta(poles, choice[:-1], Fraction(n, 12))
-        s_theta = (theta * RatFunc.coerce(s_poly)).as_poly()
+        s_theta = _s_theta(cofactors, choice[:-1], Fraction(n, 12))
         d, (s, t, r2) = _integer_lists(s_poly, s_theta, s2r)
         images = [
-            Poly(_case3_chain([0] * j + [1], s, t, r2, d, n)[0])
+            _case3_chain([0] * j + [1], s, t, r2, d, n)[0]
             for j in range(m + 1)
         ]
         p = _monic_poly_solution(images)
@@ -530,12 +661,13 @@ def case3(r: RatFunc, poles=None):
             for i in range(n + 1)
         ]
         if verify_algebraic_riccati(r, omega_poly):
+            theta = RatFunc(s_theta, s_poly)
             return Case3Result(n, theta, s_poly, p, m, omega_poly)
         return None
 
     # Kovacic's E_c: 6 + (12 k / n) sqrt(1 + 4b), |k| <= n/2
     ns = (4, 6, 12)
-    for n, sets in zip(ns, _exponent_sets(r, poles, 6, ns)):
+    for n, sets in zip(ns, _exponent_sets(r, poles, roots, 6, ns)):
         res = _search(sets, sets, Fraction(n, 12), partial(build, n=n))
         if res is not None:
             return res
@@ -599,8 +731,9 @@ def solve_rlde(e) -> object:
     else:
         r = RatFunc.coerce(e)
     poles = r.poles()
+    roots = _order2_roots(r, poles)
     for case in (case1, case2, case3):
-        res = case(r, poles)
+        res = case(r, poles, roots)
         if res is not None:
             return res
     return Case4Result()

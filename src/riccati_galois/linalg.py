@@ -2,8 +2,12 @@
 
 Plain Gaussian elimination: every coefficient field we work in supports
 exact division, so no pivot scaling tricks are needed.  Matrices are
-lists of lists of Scalars.
+lists of lists of Scalars.  Integer systems may instead take the
+fraction-free solve_fraction_free, which builds no Scalar and finds the
+same solution as solve.
 """
+
+from fractions import Fraction
 
 from .scalars import Scalar
 
@@ -67,6 +71,55 @@ def solve(m, rhs):
         for c in range(piv_c + 1, n_cols):
             s = s + m[r][c] * sol[c]
         sol[piv_c] = -s / m[r][piv_c]
+    return sol
+
+
+def solve_fraction_free(m, rhs):
+    """solve(m, rhs) for int entries: the same solution as Fractions, or
+    None if inconsistent.
+
+    Bareiss's fraction-free elimination (Math. Comp. 22 (1968) 565-578)
+    on the augmented rows: after the k-th pivot every entry below the
+    pivot row is a (k+1)-minor of the input, so each update divides
+    exactly by the previous pivot and no entry outgrows a minor.
+    Fractions appear only in the back-substitution.  The pivot columns
+    are those of row_echelon, so free variables are zero here as well.
+    """
+    a = [list(row) + [b] for row, b in zip(m, rhs)]
+    n_rows = len(a)
+    n_cols = len(a[0]) - 1 if a else 0
+    pivot_cols = []
+    prev = 1
+    for piv_c in range(n_cols):
+        piv_r = len(pivot_cols)
+        for i_row in range(piv_r, n_rows):
+            if a[i_row][piv_c]:
+                break
+        else:
+            continue
+        a[piv_r], a[i_row] = a[i_row], a[piv_r]
+        top = a[piv_r]
+        p = top[piv_c]
+        for row in a[piv_r + 1:]:
+            # a row with a zero in the pivot column is scaled all the
+            # same, so that every row holds minors of one size
+            f = row[piv_c]
+            row[piv_c] = 0
+            for c in range(piv_c + 1, n_cols + 1):
+                row[c] = (p * row[c] - f * top[c]) // prev
+        prev = p
+        pivot_cols.append(piv_c)
+    rank = len(pivot_cols)
+    if any(row[n_cols] for row in a[rank:]):
+        return None
+    sol = [Fraction(0)] * n_cols
+    for r in range(rank - 1, -1, -1):
+        row, piv_c = a[r], pivot_cols[r]
+        s = row[n_cols]
+        for c in range(piv_c + 1, n_cols):
+            if row[c]:
+                s -= row[c] * sol[c]
+        sol[piv_c] = Fraction(s) / row[piv_c]
     return sol
 
 

@@ -596,12 +596,6 @@ def _rational_canonical(fn, fd):
     return Poly._from_zz([m * c for c in f], d), _monic(g)
 
 
-def lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly([])
-    return (a * b).exact_div(gcd(a, b)).monic()
-
-
 def extended_gcd(a: Poly, b: Poly):
     """Return (g, s, t) monic g = s*a + t*b."""
     r0, r1 = Poly.coerce(a), Poly.coerce(b)

@@ -21,7 +21,6 @@ from .scalars import Scalar
 class CriterionVerdict:
     INTEGRABLE = "integrable"
     NOT_INTEGRABLE = "not_integrable"
-    INCONCLUSIVE = "inconclusive"
 
     __slots__ = ("status", "reason", "detail")
 
@@ -211,7 +210,7 @@ def kimura_test(e: ExponentDiffs) -> CriterionVerdict:
 def _family_one(triple) -> CriterionVerdict:
     """Table family 1, (1/2 + l, 1/2 + m, any value): the one family
     whose third entry is free, so the one that can fit a triple with an
-    irrational entry."""
+    irrational entry; not integrable when it does not fit."""
     # -x lies in 1/2 + Z when x does, so the signs never matter
     signs = (1, 1, 1)
     for perm in permutations(range(3)):
@@ -232,9 +231,10 @@ def _family_one(triple) -> CriterionVerdict:
                     "signs": signs,
                 },
             )
+    # families 2-15 have rational entries only, and Kimura's theorem
+    # holds for complex exponent differences: nothing else can fit
     return CriterionVerdict(
-        CriterionVerdict.INCONCLUSIVE,
-        "table membership needs rational entries",
+        CriterionVerdict.NOT_INTEGRABLE, "no signed sum or table family fits"
     )
 
 

@@ -5,10 +5,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from riccati_galois import cli, kovacic
+from riccati_galois import poly as poly_module, ratfunc as ratfunc_module
 from riccati_galois.applications import hypergeometric_rho
+from riccati_galois.exprparse import parse_ratfunc
 from riccati_galois.kovacic import (
     INFINITY,
     Case4Result,
@@ -24,8 +26,9 @@ from riccati_galois.kovacic import (
     verify_algebraic_riccati,
     verify_case1,
 )
+from riccati_galois.linalg import solve
 from riccati_galois.odeforms import ReducedODE
-from riccati_galois.poly import Poly
+from riccati_galois.poly import Poly, gcd
 from riccati_galois.ratfunc import RatFunc
 from riccati_galois.scalars import Scalar, scalar_sqrt
 from riccati_galois.specialfn import ExponentDiffs, kimura_test
@@ -287,7 +290,12 @@ class TestSecondSolution:
 # Case 3 recursion: Case 1 with poles at +-sqrt(2), +-sqrt(3) and
 # +-sqrt(5); irrational exponent sets from a double pole with 1 + 4b = 2
 # (Case 1 and Case 4); the Moebius pullbacks of (1/2, 1/3, 1/4), Case 3,
-# and of (1/3, 1/4, 1/7), Case 4.
+# and of (1/3, 1/4, 1/7), Case 4.  The last three rows were recorded
+# before the operators were cleared of their denominators: Case 1 with
+# c3 poles (order 4) at +-sqrt(2) and P = x - 1, from omega = x -
+# 1/(x^2 - 2)^2; Case 2 with a pole of order 3, the Moebius pullback of
+# "1/x^3 - 3/(16*x^2)"; and the Case 4 potential of the exponent
+# differences (1/3, 1/4, 2), whose search builds 66 candidates.
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "solve_pinned.json").read_text()
 )
@@ -525,3 +533,259 @@ def test_search_makes_no_scalar_arithmetic():
         assert case3(rho) is None
         assert solve_rlde(rho).case == 4
     assert calls == []
+
+
+# -- cleared polynomial operators against the RatFunc operators they
+# replaced: the same solution from the same system times a polynomial
+
+
+def monic_solution_reference(images):
+    """The monic kernel polynomial from Poly or RatFunc images of x^j:
+    clear the lcm of the denominators and solve with linalg.solve."""
+    m = len(images) - 1
+    images = [RatFunc.coerce(im) for im in images]
+    den = Poly([1])
+    for im in images:
+        den = (den * im.den).exact_div(gcd(den, im.den))  # the lcm
+    nums = [im.num * den.exact_div(im.den) for im in images]
+    max_deg = max(n.degree() for n in nums)
+    if max_deg < 0:
+        return Poly.monomial(1, m)
+    if m == 0:
+        return None
+    rows = [[nums[j].coeff(k) for j in range(m)] for k in range(max_deg + 1)]
+    sol = solve(rows, [-nums[m].coeff(k) for k in range(max_deg + 1)])
+    return None if sol is None else Poly(list(sol) + [1])
+
+
+def case1_reference(r, omega, m):
+    """Case 1's operator P'' + 2 omega P' + (omega' + omega^2 - r) P on
+    RatFuncs."""
+    vfun = omega.derivative() + omega * omega - r
+
+    def op(q):
+        return (
+            RatFunc.coerce(q.derivative().derivative())
+            + 2 * omega * RatFunc.coerce(q.derivative())
+            + vfun * RatFunc.coerce(q)
+        )
+
+    return monic_solution_reference(
+        [op(Poly.monomial(1, j)) for j in range(m + 1)]
+    )
+
+
+def case2_reference(r, theta, m):
+    """Case 2's operator P''' + 3 theta P'' + coef1 P' + coef0 P on
+    RatFuncs."""
+    tp = theta.derivative()
+    coef1 = 3 * tp + 3 * theta * theta - 4 * r
+    coef0 = (
+        tp.derivative() + 3 * theta * tp + theta**3 - 4 * r * theta
+        - 2 * r.derivative()
+    )
+
+    def op(q):
+        q1 = q.derivative()
+        q2 = q1.derivative()
+        return (
+            RatFunc.coerce(q2.derivative())
+            + 3 * theta * RatFunc.coerce(q2)
+            + coef1 * RatFunc.coerce(q1)
+            + coef0 * RatFunc.coerce(q)
+        )
+
+    return monic_solution_reference(
+        [op(Poly.monomial(1, j)) for j in range(m + 1)]
+    )
+
+
+def theta_reference(poles, exponents, scale):
+    """theta = sum scale e_c / (x - c) over the poles, on RatFuncs."""
+    theta = RatFunc.coerce(0)
+    for (c, _), e_c in zip(poles, exponents):
+        theta = theta + RatFunc(Poly([e_c * scale]), Poly([-c, 1]))
+    return theta
+
+
+def verify_case1_reference(r, omega, p):
+    """The Case 1 identity on RatFuncs."""
+    lhs = (
+        RatFunc.coerce(p.derivative().derivative())
+        + 2 * omega * RatFunc.coerce(p.derivative())
+        + (omega.derivative() + omega * omega - r) * RatFunc.coerce(p)
+    )
+    return lhs.is_zero()
+
+
+@st.composite
+def case1_instances(draw):
+    """(A, B, r, P, perturbed): omega = A/B (not reduced: A may share a
+    factor with B), P monic, and r = omega' + omega^2 + (P'' + 2 omega
+    P') / P, so that P solves Case 1's equation, or that r plus c/(x - d),
+    so that it does not.  A carries sqrt(2) at times."""
+    points = draw(st.lists(small_fractions, max_size=2, unique=True))
+    b = Poly([1])
+    for c in points:
+        b = b * Poly([-c, 1]) ** draw(st.integers(1, 2))
+    a = Poly(draw(st.lists(small_fractions, max_size=b.degree() + 2)))
+    a = a.scale(draw(st.sampled_from([1, 1, 1, SQRT2])))
+    m = draw(st.integers(0, 3))
+    p = Poly(draw(st.lists(small_fractions, min_size=m, max_size=m)) + [1])
+    omega = RatFunc(a, b)
+    p1 = RatFunc.coerce(p.derivative())
+    r = omega.derivative() + omega * omega + (
+        p1.derivative() + 2 * omega * p1
+    ) / RatFunc.coerce(p)
+    perturbed = draw(st.booleans())
+    if perturbed:
+        c = draw(small_fractions.filter(bool))
+        r = r + RatFunc(Poly([c]), Poly([-draw(small_fractions), 1]))
+    return a, b, r, p, perturbed
+
+
+@st.composite
+def case2_instances(draw):
+    """(r, poles, exponents, m) with poles of order 1 to 3."""
+    den = Poly([1])
+    points = st.lists(small_fractions, min_size=1, max_size=2, unique=True)
+    for c in draw(points):
+        den = den * Poly([-c, 1]) ** draw(st.integers(1, 3))
+    num = Poly(draw(st.lists(small_fractions, min_size=1, max_size=4)))
+    assume(not num.is_zero())
+    r = RatFunc(num, den)
+    poles = r.poles()
+    assume(poles)
+    surds = st.sampled_from([1, 1, SQRT2])
+    exponents = [
+        Scalar.coerce(draw(small_fractions)) * draw(surds) for _ in poles
+    ]
+    return r, poles, exponents, draw(st.integers(0, 3))
+
+
+class TestClearedOperators:
+    @settings(max_examples=60, deadline=None)
+    @given(case1_instances())
+    def test_case1_matches_ratfunc_operator(self, instance):
+        a, b, r, p, perturbed = instance
+        m = p.degree()
+        op = kovacic._Case1Operator(b, r)
+        got = kovacic._monic_poly_solution(kovacic._images(op.coeffs(a), m))
+        assert got == case1_reference(r, RatFunc(a, b), m)
+        if not perturbed:
+            assert got is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(case2_instances())
+    def test_case2_matches_ratfunc_operator(self, instance):
+        r, poles, exponents, m = instance
+        s_poly, cofactors = kovacic._pole_product(poles)
+        t = kovacic._s_theta(cofactors, exponents, F(1, 2))
+        ops = kovacic._Case2Operator(s_poly, r).coeffs(t)
+        got = kovacic._monic_poly_solution(kovacic._images(ops, m))
+        theta = theta_reference(poles, exponents, F(1, 2))
+        assert got == case2_reference(r, theta, m)
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            "1/x - 3/(16*x^2)",
+            "1/x^3 - 3/(16*x^2)",
+            "(125/64*x + 1125/128)/(x^5 + 15/2*x^4 + 75/4*x^3 + 145/8*x^2"
+            " + 15/2*x + 9/8)",
+        ],
+    )
+    def test_case2_candidates_match_ratfunc_operator(self, rho):
+        # every candidate of a Case 2 search, the consistent one included
+        r = parse_ratfunc(rho)
+        poles = r.poles()
+        roots = kovacic._order2_roots(r, poles)
+        sets = next(kovacic._exponent_sets(r, poles, roots, 2, [2]))
+        s_poly, cofactors = kovacic._pole_product(poles)
+        op = kovacic._Case2Operator(s_poly, r)
+        found = []
+
+        def check(choice, m):
+            t = kovacic._s_theta(cofactors, choice[:-1], F(1, 2))
+            got = kovacic._monic_poly_solution(
+                kovacic._images(op.coeffs(t), m)
+            )
+            theta = theta_reference(poles, choice[:-1], F(1, 2))
+            assert got == case2_reference(r, theta, m)
+            found.append(got is not None)
+
+        assert _search(sets, sets, F(1, 2), check) is None
+        assert any(found)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case1_instances())
+    def test_verify_case1_matches_ratfunc_identity(self, instance):
+        a, b, r, p, perturbed = instance
+        omega = RatFunc(a, b)
+        assert verify_case1(r, omega, p) == (not perturbed)
+        assert verify_case1_reference(r, omega, p) == (not perturbed)
+
+
+def test_case1_case2_builders_take_no_gcd_before_solving():
+    # a builder forms its operator on polynomials; gcds (RatFunc
+    # canonicalisation, lcm) come only after a consistent system
+    calls, at_solve, every = [], [], []
+
+    def counting(function):
+        def wrapper(*args):
+            calls.append(function.__name__)
+            every.append(function.__name__)
+            return function(*args)
+
+        return wrapper
+
+    def solving(images):
+        at_solve.append(list(calls))
+        return monic_poly_solution(images)
+
+    def search(exponents, tags, scale, build):
+        def fresh(*args):
+            calls.clear()
+            return build(*args)
+
+        return real_search(exponents, tags, scale, fresh)
+
+    monic_poly_solution = kovacic._monic_poly_solution
+    real_search = kovacic._search
+    inputs = [
+        (case1, "x^2 - 5"),
+        (case1, "1/x^4 - 2/x + 3 + x^2"),
+        (case1, PINNED[-3]["rho"]),  # c3 poles at +-sqrt(2)
+        (case2, "1/x^3 - 3/(16*x^2)"),
+        (case2, PINNED[-2]["rho"]),  # a pole of order 3
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("gcd", "_prs_gcd", "_euclid_gcd"):
+            mp.setattr(poly_module, name, counting(getattr(poly_module, name)))
+        # ratfunc holds its own reference to gcd: point it at the counter
+        mp.setattr(ratfunc_module, "gcd", poly_module.gcd)
+        mp.setattr(kovacic, "_monic_poly_solution", solving)
+        mp.setattr(kovacic, "_search", search)
+        for case, rho in inputs:
+            r = parse_ratfunc(rho)
+            poles = r.poles()
+            assert case(r, poles) is not None
+    assert len(at_solve) >= len(inputs)
+    assert all(seen == [] for seen in at_solve)
+    assert "_prs_gcd" in every  # the counters are live
+
+
+def test_order2_roots_once_per_equation():
+    # three poles of order 2: one root each, shared by Cases 1, 2 and 3
+    rho = mobius_pullback(hypergeometric_rho(F(1, 3), F(1, 4), F(1, 7)))
+    calls = []
+    order2_root = kovacic._order2_root
+
+    def counting(r, point):
+        calls.append(point)
+        return order2_root(r, point)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kovacic, "_order2_root", counting)
+        assert solve_rlde(rho).case == 4
+    assert len(calls) == 3

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from riccati_galois import cli, poly as poly_module
-from riccati_galois.linalg import det, nullspace, rank, solve
+from riccati_galois.linalg import (
+    det,
+    nullspace,
+    rank,
+    solve,
+    solve_fraction_free,
+)
 from riccati_galois.odeforms import (
     RiccatiGeneral,
     transform_B,
@@ -253,6 +259,68 @@ class TestLinalg:
         r2 = scalar_sqrt(2)
         sol = solve([[r2, 0], [0, 1]], [2, r2])
         assert sol == [r2, r2]
+
+    @pytest.mark.parametrize(
+        "m,rhs",
+        [
+            # tall and consistent
+            ([[2, 1], [0, 3], [4, 5], [6, 3]], [1, 3, 7, 3]),
+            # tall and inconsistent
+            ([[2, 1], [0, 3], [4, 5]], [1, 2, 3]),
+            # rank-deficient: a free variable, set to zero
+            ([[1, 2, 3], [2, 4, 7], [3, 6, 10]], [1, 3, 4]),
+            # a zero column, and zeros below a pivot that must be rescaled
+            ([[0, 3, 1], [0, 0, 2], [0, 6, 5]], [4, 6, 11]),
+            ([[2, 1, 0], [0, 1, 1], [0, 1, 2]], [1, 1, 2]),
+            ([[3, 1, 2], [0, 2, 1], [6, 5, 7], [0, 4, 5]], [1, 2, 3, 4]),
+        ],
+    )
+    def test_fraction_free_examples(self, m, rhs):
+        ref = solve(m, rhs)
+        got = solve_fraction_free(m, rhs)
+        if ref is None:
+            assert got is None
+        else:
+            assert got == [s.as_fraction() for s in ref]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fraction_free_matches_solve(self, data):
+        # rows are combinations of a few base rows (rank-deficient when
+        # there are more rows than bases), some columns are zeroed, and
+        # the right-hand side is either m x (consistent) or random
+        n_cols = data.draw(st.integers(1, 4))
+        entries = st.integers(-4, 4) | st.just(0)
+        bases = data.draw(
+            st.lists(
+                st.lists(entries, min_size=n_cols, max_size=n_cols),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        n_rows = data.draw(st.integers(1, 7))
+        zero_cols = data.draw(st.sets(st.integers(0, n_cols - 1)))
+        m = []
+        for _ in range(n_rows):
+            k = len(bases)
+            w = data.draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+            row = [sum(c * b[j] for c, b in zip(w, bases))
+                   for j in range(n_cols)]
+            m.append([0 if j in zero_cols else v for j, v in enumerate(row)])
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(entries, min_size=n_cols, max_size=n_cols))
+            rhs = [sum(a * b for a, b in zip(row, x)) for row in m]
+        else:
+            rhs = data.draw(
+                st.lists(entries, min_size=n_rows, max_size=n_rows)
+            )
+        ref = solve(m, rhs)
+        got = solve_fraction_free(m, rhs)
+        if ref is None:
+            assert got is None
+        else:
+            assert got == [s.as_fraction() for s in ref]
+            assert all(isinstance(v, F) for v in got)
 
 
 class TestRatFunc:

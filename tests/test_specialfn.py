@@ -104,10 +104,18 @@ class TestKimura:
         res = solve_rlde(schwarz_rho(a, b, c))
         assert verdict.is_integrable == (res.case != 4)
 
-    def test_irrational_inconclusive(self):
-        s2 = Scalar.coerce(2).sqrt()
-        v = kimura_test(ExponentDiffs(s2, F(1, 3), F(1, 3)))
-        assert v.status == CriterionVerdict.INCONCLUSIVE
+    def test_irrational_not_integrable(self):
+        # no signed sum is odd, family 1 does not fit and families 2-15
+        # need rational entries: not integrable, and Kovacic agrees
+        s2, s3 = Scalar.coerce(2).sqrt(), Scalar.coerce(3).sqrt()
+        for triple in [
+            (s2, F(1, 3), F(1, 3)),
+            (s2, F(1, 2), F(1, 3)),
+            (s2, s3, F(1, 2)),
+        ]:
+            v = kimura_test(ExponentDiffs(*triple))
+            assert v.status == CriterionVerdict.NOT_INTEGRABLE
+            assert solve_rlde(hypergeometric_rho(*triple)).case == 4
 
     @pytest.mark.parametrize(
         "triple",
