@@ -146,11 +146,6 @@ def nullspace(m):
     return basis
 
 
-def rank(m):
-    _, _, pivot_cols = row_echelon(m)
-    return len(pivot_cols)
-
-
 def det(m):
     """Determinant by elimination with row-swap sign tracking."""
     m = _coerce_matrix(m)

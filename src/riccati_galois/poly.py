@@ -24,10 +24,14 @@ Scalar (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6):
   coefficients do not share;
 - exact_div divides by the primitive part of the divisor in Z[x]
   (Gauss's lemma) and folds its content into the denominator;
-- gcd runs the primitive polynomial remainder sequence;
+- gcd runs GCDHEU (_heu_gcd): one integer gcd of the two values at a
+  large point, read back as a polynomial and accepted only when it
+  divides both operands exactly, which also gives the cofactors; after
+  a few points it falls back to the primitive polynomial remainder
+  sequence (_prs_gcd);
 - _rational_canonical, which RatFunc uses to cancel a numerator against
-  its denominator, takes contents, the primitive gcd and exact integer
-  quotients in one pass.
+  its denominator, takes contents and then the primitive gcd with its
+  cofactors in one pass.
 
 Results are reduced to the canonical form by Poly._from_zz.  Any tower
 coefficient sends the operation through the Scalar loops (_scalar_mul,
@@ -36,7 +40,7 @@ methods), which are also the reference the tests hold the kernel to.
 """
 
 from fractions import Fraction
-from math import gcd as igcd, lcm as ilcm
+from math import gcd as igcd, isqrt, lcm as ilcm
 
 from .scalars import QQ, ZERO, Scalar, UnsupportedFieldError
 
@@ -383,8 +387,9 @@ X = Poly.x()
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; the zero polynomial when both operands are zero.
 
-    Operands with rational coefficients take the integer primitive
-    remainder sequence (_rational_gcd).  With a tower coefficient, a
+    Operands with rational coefficients take the integer kernel
+    (_rational_gcd): GCDHEU on the primitive parts, with the primitive
+    remainder sequence as its fallback.  With a tower coefficient, a
     linear operand is tested by evaluating the other at its root, and
     otherwise both go through the Euclidean loop (_euclid_gcd).  The
     routes agree wherever they all apply.
@@ -496,7 +501,68 @@ def _rational_gcd(fa, fb):
         return Poly([])
     if not b:
         return _monic(a)
-    return _monic(_prs_gcd(_primitive(a), _primitive(b)))
+    return _monic(_heu_gcd(_primitive(a), _primitive(b))[0])
+
+
+# points GCDHEU evaluates at before the remainder sequence takes over
+_HEU_TRIES = 6
+
+
+def _heu_gcd(f, g):
+    """(h, f/h, g/h) for two primitive int lists f and g, h a primitive
+    gcd (its sign is arbitrary).
+
+    GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7 (1989); Geddes,
+    Czapor & Labahn, Algorithms for Computer Algebra, 7.7).  With
+    xi >= 2*B + 2, B the smaller of the two max-norms, the gcd G of f
+    and g has |c(xi)| > (xi/2)^deg c for every factor c of G of positive
+    degree: each root of c is a root of the operand of norm B, so it
+    lies within 1 + B of 0 (Cauchy).  The base-xi digits of gcd(f(xi), g(xi)), taken in
+    (-xi/2, xi/2], make a polynomial H with H(xi) = gcd(f(xi), g(xi)),
+    a multiple of G(xi).  If h = pp(H) divides f and g, then G = h*c
+    and c(xi) divides cont(H), which is at most xi/2: c is a unit and h
+    is the gcd.  A constant H is the gcd 1 with no division.  The exact
+    divisions that accept h are the cofactors.  When no point of a few
+    succeeds, the primitive remainder sequence gives h.
+    """
+    if len(f) == 1 or len(g) == 1:
+        return [1], f, g
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    for _ in range(_HEU_TRIES):
+        h = _symmetric_digits(igcd(_integer_eval(f, xi), _integer_eval(g, xi)), xi)
+        if len(h) == 1:
+            return [1], f, g
+        h = _primitive(h)
+        try:
+            return h, _integer_exact_div(f, h), _integer_exact_div(g, h)
+        except InexactDivision:
+            pass
+        # the book's step to a larger point, a factor of about 2.73
+        xi = xi * 73794 // 27011
+    h = _prs_gcd(f, g)
+    return h, _integer_exact_div(f, h), _integer_exact_div(g, h)
+
+
+def _integer_eval(f, x):
+    """f(x) for an int list f and an int x, by Horner's rule."""
+    v = 0
+    for c in reversed(f):
+        v = v * x + c
+    return v
+
+
+def _symmetric_digits(v, xi):
+    """The digits of v > 0 in base xi >= 4, each in (-xi/2, xi/2], low
+    order first; the last one is positive."""
+    half = xi // 2
+    out = []
+    while v:
+        v, d = divmod(v, xi)
+        if d > half:
+            d -= xi
+            v += 1
+        out.append(d)
+    return out
 
 
 def _prs_gcd(f, g):
@@ -576,19 +642,16 @@ def _rational_canonical(fn, fd):
     """Canonical num/den of the rational function fn/fd as two Polys.
 
     fn and fd are integer forms, fd nonzero.  The result is coprime with
-    a monic denominator: the contents come off first, the primitive
-    parts are divided exactly by their primitive gcd, and the ratio of
-    contents and denominators over lc(den) scales the numerator.
+    a monic denominator: the contents come off first, GCDHEU
+    (_heu_gcd) replaces the primitive parts by their cofactors over
+    their gcd, and the ratio of contents and denominators over lc(den)
+    scales the numerator.
     """
     (a, da), (b, db) = fn, fd
     if not a:
         return Poly([]), Poly.coerce(1)
     ca, cb = igcd(*a), igcd(*b)
-    f, g = _primitive(a, ca), _primitive(b, cb)
-    h = _prs_gcd(f, g)
-    if len(h) > 1:
-        f = _integer_exact_div(f, h)
-        g = _integer_exact_div(g, h)
+    _, f, g = _heu_gcd(_primitive(a, ca), _primitive(b, cb))
     # fn/fd == (ca*db / (da*cb)) * f/g and the monic denominator is g/lc(g)
     m, d = ca * db, da * cb * g[-1]
     if d < 0:
@@ -644,7 +707,10 @@ def squarefree_decomposition(p: Poly):
 def rational_roots(p: Poly):
     """All rational roots of a polynomial with rational coefficients.
 
-    Returns a list of Fractions (no multiplicity).
+    Returns a sorted list of Fractions (no multiplicity).  A root of the
+    square-free integer form f, of degree n, is y / a_n for an integer
+    root y of the monic a_n^(n-1) * f(y / a_n), which _integer_roots
+    finds without factoring a coefficient.
     """
     p = Poly.coerce(p)
     if p.is_zero():
@@ -662,26 +728,47 @@ def rational_roots(p: Poly):
         ints = ints[low:]
     if len(ints) <= 1:
         return roots
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(n):
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return out
-
-    q = Poly(ints)
-    for num in divisors(a0):
-        for dnm in divisors(an):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, dnm)
-                if cand not in roots and q(cand).is_zero():
-                    roots.append(cand)
+    # the square-free part has the same roots, each simple
+    ints = _heu_gcd(ints, _primitive([k * c for k, c in enumerate(ints)][1:]))[1]
+    n, an = len(ints) - 1, ints[-1]
+    monic = [c * an ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
+    roots.extend(Fraction(y, an) for y in _integer_roots(monic))
     roots.sort()
+    return roots
+
+
+def _integer_roots(f):
+    """The integer roots of a monic square-free int list f, degree >= 1.
+
+    Take the first prime p at which every root of f mod p is simple (one
+    exists: any p that does not divide the discriminant).  Distinct
+    integer roots then reduce to distinct roots mod p, and Newton's
+    iteration lifts each of these uniquely (Hensel's lemma) to a modulus
+    m > 2 * (1 + max |f_k|).  Every root lies within the Cauchy bound
+    1 + max |f_k|, so it is the residue of its lift in (-m/2, m/2]; each
+    such residue is kept if f vanishes there exactly.
+    """
+    df = [k * c for k, c in enumerate(f)][1:]
+    p = 1
+    while True:
+        p += 1
+        if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            continue
+        fp = [c % p for c in f]
+        start = [r for r in range(p) if _integer_eval(fp, r) % p == 0]
+        if all(_integer_eval(df, r) % p for r in start):
+            break
+    bound = 1 + max(abs(c) for c in f[:-1])
+    roots = []
+    for y in start:
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            y = (y - _integer_eval(f, y) * pow(_integer_eval(df, y), -1, m)) % m
+        if y > m // 2:
+            y -= m
+        if not _integer_eval(f, y):
+            roots.append(y)
     return roots
 
 
@@ -689,10 +776,12 @@ def roots_with_multiplicity(p: Poly):
     """Split a polynomial into linear factors over the coefficient tower.
 
     Returns (roots, leading) where roots is a list of (Scalar root, int
-    multiplicity).  Rational roots are peeled off first; what remains is
-    split with the quadratic formula, adjoining at most one square root
-    per quadratic factor.  Raises UnsupportedFieldError if an
-    irreducible factor of degree >= 3 with no rational root remains.
+    multiplicity).  A square-free factor of degree 1 or 2 is split by
+    formula; Scalar.sqrt returns a rational root when the discriminant
+    is a rational square, and otherwise adjoins one square root.  From
+    a rational factor of degree >= 3 the rational roots are peeled off
+    first, and a remainder of degree 1 or 2 is split by formula.  Raises
+    UnsupportedFieldError if a factor of degree >= 3 remains.
     """
     p = Poly.coerce(p)
     if p.is_zero():
@@ -701,7 +790,7 @@ def roots_with_multiplicity(p: Poly):
     found = []
     for fac, mult in squarefree_decomposition(p.monic()):
         rem = fac
-        if rem.is_rational_poly():
+        if rem.degree() >= 3 and rem.is_rational_poly():
             for r in rational_roots(rem):
                 found.append((Scalar.coerce(r), mult))
                 rem = rem.exact_div(Poly([-r, 1]))

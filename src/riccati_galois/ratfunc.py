@@ -3,7 +3,9 @@
 Canonical form everywhere: numerator and denominator coprime, denominator
 monic.  When every coefficient of numerator and denominator is rational,
 the constructor reaches that form through poly's rational kernel
-(_rational_canonical): contents, primitive gcd and exact quotients on
+(_rational_canonical): contents, then the primitive gcd and its
+cofactors from GCDHEU (one integer gcd of two values, checked by exact
+division, with the primitive remainder sequence as its fallback), on
 the integer forms, and no Scalar is built.  Otherwise it runs
 _canonical_form (gcd, exact_div and scale on Scalars), the path for
 tower coefficients and the reference the tests hold the kernel to.

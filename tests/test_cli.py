@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -34,6 +35,18 @@ class TestSolve:
         data = json.loads(out)
         assert data["verdict"] == {"case": 4, "liouvillian": False}
         assert data["artifacts"] == {}
+
+    @pytest.mark.parametrize(
+        "rho", ["1/(x^2 - 2^80)", "1/((x - 2^60)*(x^2 - 3))"]
+    )
+    def test_large_constant_term(self, capsys, rho):
+        # the poles come from no divisor of a coefficient: a search over
+        # the divisors of 2^80 would not end
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "solve", "--rho", rho, "--no-timing", "--json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out)["verdict"] == {"case": 4, "liouvillian": False}
 
     def test_second_order_input(self, capsys):
         code, out, _ = run(

@@ -760,7 +760,7 @@ def test_case1_case2_builders_take_no_gcd_before_solving():
         (case2, PINNED[-2]["rho"]),  # a pole of order 3
     ]
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("gcd", "_prs_gcd", "_euclid_gcd"):
+        for name in ("gcd", "_heu_gcd", "_prs_gcd", "_euclid_gcd"):
             mp.setattr(poly_module, name, counting(getattr(poly_module, name)))
         # ratfunc holds its own reference to gcd: point it at the counter
         mp.setattr(ratfunc_module, "gcd", poly_module.gcd)
@@ -772,7 +772,7 @@ def test_case1_case2_builders_take_no_gcd_before_solving():
             assert case(r, poles) is not None
     assert len(at_solve) >= len(inputs)
     assert all(seen == [] for seen in at_solve)
-    assert "_prs_gcd" in every  # the counters are live
+    assert "_heu_gcd" in every  # the counters are live
 
 
 def test_order2_roots_once_per_equation():

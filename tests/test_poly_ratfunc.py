@@ -1,6 +1,6 @@
 import contextlib
 from fractions import Fraction as F
-from math import gcd as igcd
+from math import gcd as igcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,7 +9,6 @@ from riccati_galois import cli, poly as poly_module
 from riccati_galois.linalg import (
     det,
     nullspace,
-    rank,
     solve,
     solve_fraction_free,
 )
@@ -23,8 +22,12 @@ from riccati_galois.odeforms import (
 from riccati_galois.poly import (
     InexactDivision,
     Poly,
+    _HEU_TRIES,
     _euclid_gcd,
+    _heu_gcd,
     _integer_exact_div,
+    _primitive,
+    _prs_gcd,
     extended_gcd,
     gcd,
     rational_roots,
@@ -60,6 +63,27 @@ small_fractions = st.builds(
 fraction_polys = st.lists(small_fractions, min_size=0, max_size=5).map(Poly)
 
 SQRT2 = scalar_sqrt(2)
+
+
+def int_mul(f, g):
+    """The product of two int lists, by the schoolbook convolution."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+# int lists with a nonzero leading coefficient of either sign, up to
+# 10^12 in size, and often zero low-order terms
+big_ints = st.integers(min_value=-(10**12), max_value=10**12)
+int_lists = st.builds(
+    lambda low, mid, lead: [0] * low + mid + [lead],
+    st.integers(min_value=0, max_value=2),
+    st.lists(st.integers(min_value=-3, max_value=3) | big_ints, max_size=4),
+    big_ints.filter(bool) | st.sampled_from([1, -1, 2, -3]),
+)
+
 surd_polys = st.lists(
     st.builds(lambda a, b: a + b * SQRT2, small_fractions, small_fractions),
     min_size=0,
@@ -172,6 +196,70 @@ class TestPolyGcd:
         b = F(5, 7) * (X - F(1, 2)) * (X + 9)
         assert gcd(a, b) == X - F(1, 2)
 
+    @settings(max_examples=150, deadline=None)
+    @given(int_lists, int_lists, int_lists)
+    def test_heu_gcd_matches_prs(self, common, p, q):
+        f, g = _primitive(int_mul(common, p)), _primitive(int_mul(common, q))
+        h, cf, cg = _heu_gcd(f, g)
+        ref = _prs_gcd(f, g)
+        sign = 1 if h[-1] * ref[-1] > 0 else -1
+        assert h == [sign * c for c in ref]
+        assert cf == [sign * c for c in _integer_exact_div(f, ref)]
+        assert cg == [sign * c for c in _integer_exact_div(g, ref)]
+        assert int_mul(h, cf) == f and int_mul(h, cg) == g
+        # the planted factor divides the gcd
+        _integer_exact_div(h, _primitive(common))
+
+    def test_heu_gcd_falls_back_to_prs(self, monkeypatch):
+        # digits of a degree above both operands never divide them, so
+        # every point fails and the remainder sequence answers
+        f = int_mul([-1, 1], [2, 0, 3])
+        g = int_mul([-1, 1], [5, -7])
+        points, prs = [], []
+        monkeypatch.setattr(
+            poly_module, "_symmetric_digits", lambda v, xi: points.append(xi) or [1] * 9
+        )
+        monkeypatch.setattr(
+            poly_module, "_prs_gcd", lambda f, g: prs.append(1) or _prs_gcd(f, g)
+        )
+        assert _heu_gcd(f, g) == ([-1, 1], [2, 0, 3], [5, -7])
+        assert len(points) == _HEU_TRIES and len(set(points)) == _HEU_TRIES
+        assert prs == [1]
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_heu_gcd_points_clear_the_norm_bound(self, monkeypatch, fail):
+        # xi >= 2 * min(|f|, |g|) + 2 is what makes an accepted h the
+        # gcd; the first three pairs need two to four points unpatched,
+        # and with the patch every pair runs through all of them
+        cases = [
+            ([2, 3, -2, -2, -3, 2], [0, 3, 10, 12, 9, 2]),
+            ([0, 6, -1, -1], [-6, -5, -1]),
+            ([3, -8, -6, -1], [6, -1, -1]),
+            (int_mul([7, 0, -(10**12)], [1, 5]), int_mul([7, 0, -(10**12)], [1, 3])),
+        ]
+        evaluated = []
+        evaluate = poly_module._integer_eval
+        monkeypatch.setattr(
+            poly_module,
+            "_integer_eval",
+            lambda f, xi: evaluated.append(xi) or evaluate(f, xi),
+        )
+        if fail:
+            monkeypatch.setattr(
+                poly_module, "_symmetric_digits", lambda v, xi: [1] * 9
+            )
+        for i, (f, g) in enumerate(cases):
+            evaluated.clear()
+            h = _heu_gcd(f, g)[0]
+            assert h in (_prs_gcd(f, g), [-c for c in _prs_gcd(f, g)])
+            bound = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+            assert min(evaluated) >= bound
+            points = len(set(evaluated))
+            if fail:
+                assert points == _HEU_TRIES
+            else:
+                assert (points > 1) == (i < 3)
+
     def test_tower_gcd(self):
         a = (X - SQRT2) * (X + 1) * 3
         b = (X - SQRT2) * (X - SQRT2 * 3) * SQRT2
@@ -229,6 +317,59 @@ class TestRoots:
             roots_with_multiplicity(X**3 - 2)
 
 
+def divisor_roots(p):
+    """Rational roots by trying every num/den with num | a_0 and den | a_n,
+    the search rational_roots replaced; p has integer coefficients."""
+    ints = poly_module._rational_coeffs(p)[0]
+    roots = {F(0)} if ints[0] == 0 else set()
+    while ints[0] == 0:
+        ints = ints[1:]
+
+    def divisors(n):
+        n = abs(n)
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return set(small + [n // d for d in small])
+
+    n = len(ints) - 1
+    for num in divisors(ints[0]):
+        for den in divisors(ints[-1]):
+            for sign in (1, -1):
+                # den^n * p(num/den), in integers
+                terms = enumerate(ints)
+                if not sum(c * (sign * num) ** k * den ** (n - k) for k, c in terms):
+                    roots.add(F(sign * num, den))
+    return sorted(roots)
+
+
+small_roots = st.builds(
+    F, st.integers(min_value=-12, max_value=12), st.integers(min_value=1, max_value=6)
+)
+
+
+class TestRationalRootSearch:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(small_roots, max_size=4), small_polys, st.integers(1, 3))
+    def test_matches_divisor_search(self, planted, cofactor, power):
+        assume(not cofactor.is_zero())
+        p = cofactor
+        for r in planted:
+            p = p * Poly([-r.numerator, r.denominator]) ** power
+        assert rational_roots(p) == divisor_roots(p)
+        assert set(planted) <= set(rational_roots(p))
+
+    def test_large_coefficients(self):
+        # divisors of 2^130 * 3 by trial division would take ~2^65 steps
+        p = (X - 2**60) * (3 * X + 2**70) * (X**2 - 3) * (X**3 - 2)
+        assert rational_roots(p) == [F(-(2**70), 3), F(2**60)]
+        roots, _ = roots_with_multiplicity((X - 2**60) ** 2 * (X**2 - 2**80))
+        table = {r.key(): m for r, m in roots}
+        assert table == {
+            Scalar.coerce(2**60).key(): 2,
+            Scalar.coerce(2**40).key(): 1,
+            Scalar.coerce(-(2**40)).key(): 1,
+        }
+
+
 class TestLinalg:
     def test_solve_unique(self):
         m = [[1, 2], [3, 4]]
@@ -250,7 +391,6 @@ class TestLinalg:
             assert (vec[0] + 2 * vec[1] + 3 * vec[2]).is_zero()
 
     def test_rank_det(self):
-        assert rank([[1, 2], [2, 4]]) == 1
         assert det([[1, 2], [3, 4]]) == -2
         assert det([[0, 1], [1, 0]]) == -1
         assert det([[2, 0], [0, F(1, 2)]]) == 1
@@ -812,6 +952,9 @@ class TestKernelDispatch:
             "_rational_canonical",
             "_integer_pdivmod",
             "_integer_exact_div",
+            "_heu_gcd",
+            "_integer_eval",
+            "_symmetric_digits",
             "_prs_gcd",
         ):
             monkeypatch.setattr(poly_module, name, refuse)
