@@ -16,6 +16,18 @@ integers.  Cases 2 and 3 share _exponent_sets.  Case 2 keeps Kovacic's
 into another candidate order.  The order-2 roots sqrt(1 + 4b) are
 found once per equation (_order2_roots) and shared by the three cases.
 
+Before Cases 2 and 3 the local monodromy, an element of the Galois
+group, is read off these roots (Kovacic 1986; van der Put & Singer
+2003, ch. 4; Ulmer & Weil 1996).  A logarithmic point (_logarithmic;
+Frobenius's obstruction, modulo a prime) gives a nontrivial unipotent
+element, which neither D-infinity nor a finite group has: once Case 1
+has failed, the answer is Case 4.  A rational N = sqrt(1 + 4b) has
+projective order its denominator, and Case 3 tries only the n whose
+groups have every order (_case3_degrees).  Both rules skip only
+searches that cannot succeed.  A builder sets up (omega's denominator
+and shares, the pole product, the cleared operator) only for a first
+surviving candidate.
+
 Each builder forms its operator once per candidate, as polynomial
 coefficients a_k over one cleared denominator, so that the image of x^j
 is sum_k a_k j (j-1) ... (j-k+1) x^(j-k) (_images) and no RatFunc, gcd
@@ -45,7 +57,7 @@ symbolically before being returned:
 """
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import factorial, lcm as ilcm
 
 from .formal import FormalIntegral, FormalProduct
@@ -200,6 +212,64 @@ def _order2_roots(r: RatFunc, poles):
     o = r.order_at_infinity()
     roots.append(_order2_root(r, INFINITY) if o == 2 else None)
     return roots
+
+
+def _logarithmic(r: RatFunc, poles, roots) -> bool:
+    """True if xi'' = r xi has a point known to be logarithmic: a simple
+    pole, order 3 at infinity (t^-4 r(1/t) has a simple pole at t = 0),
+    or a point of order 2 that _frobenius_log proves.  roots are
+    _order2_roots(r, poles)."""
+    if r.order_at_infinity() == 3 or any(o == 1 for _, o in poles):
+        return True
+    points = [c for c, _ in poles] + [INFINITY]
+    return any(
+        root is not None and _frobenius_log(r, point, root)
+        for point, root in zip(points, roots)
+    )
+
+
+# the Frobenius obstruction is computed modulo this prime (_frobenius_log)
+_PRIME = 2**61 - 1
+
+
+def _frobenius_log(r: RatFunc, point, root) -> bool:
+    """True if a point of order 2 with exponent difference root = N is
+    proved to carry a logarithm.  For r = sum_k r_k (x - c)^(k - 2) (at
+    INFINITY, t^-4 r(1/t) at t = 0 has the r_k of the expansion in 1/x)
+    and the smaller exponent (1 - N)/2, Frobenius's recursion is
+        j (j - N) a_j = sum_(k = 1..j) r_k a_(j - k),  a_0 = 1,
+    and an integer N >= 1 is logarithmic iff the right side is nonzero
+    at j = N; N = 0 always is.  With d clearing the denominators of the
+    r_k, P_j = prod_(i <= j) i (i - N) and A_j = d^j P_j a_j, it is free
+    of division:
+        A_j = sum_k (d r_k) d^(k - 1) (P_(j-1) / P_(j-k)) A_(j - k),
+    and A_N is d^N P_(N-1) times the right side at j = N.  It runs
+    modulo _PRIME, in O(N^2) word-sized steps: a nonzero residue proves
+    the logarithm, a zero one (an apparent point, or a multiple of the
+    prime) proves nothing.  Tower coefficients are not tested."""
+    if not root.is_integer():
+        return False
+    n = abs(int(root.as_fraction()))
+    if n == 0:
+        return True
+    if point is INFINITY:
+        _, rs = r.laurent_at_infinity(n + 1)
+    else:
+        _, rs = r.laurent_at(point, n + 1)
+    if any(c.tower is not QQ for c in rs):
+        return False
+    qs = [c.val for c in rs[1:]]
+    d = ilcm(*(q.denominator for q in qs))
+    drs = [q.numerator * (d // q.denominator) % _PRIME for q in qs]
+    d %= _PRIME
+    a = [1]
+    for j in range(1, n + 1):
+        acc, f = 0, 1  # f = d^(k - 1) P_(j-1) / P_(j-k)
+        for k in range(1, j + 1):
+            acc += drs[k - 1] * f * a[j - k]
+            f = f * d * (j - k) * (j - k - n) % _PRIME
+        a.append(acc % _PRIME)
+    return a[n] != 0
 
 
 def classify_point_case1(
@@ -426,38 +496,46 @@ def case1(r: RatFunc, poles=None, roots=None):
             return None
         locals_.append(d)
 
-    # omega = A/B, B = prod (x - c)^v with v the pole order of omega at
-    # c: that of the head at a c3 pole, else 1.  Each point has a share
-    # of A per sign, its head and alpha/(x - c) times B, and a
-    # candidate's A is the sum of the shares it picks.
-    lins = [Poly([-d.point, 1]) for d in locals_]
-    vs = [max(1, d.sqrt_head.den.degree()) for d in locals_]
-    b = Poly([1])
-    for lin, v in zip(lins, vs):
-        b = b * lin**v
     points = locals_ + [data_inf]
-    signs, shares = [], []
-    for i, d in enumerate(points):
-        # equal alphas and a zero head (a simple pole): one omega, one sign
-        head = RatFunc.coerce(d.sqrt_head)
-        same = d.alpha_plus == d.alpha_minus and head.is_zero()
-        signs.append((1,) if same else (1, -1))
-        if d is data_inf:
-            head_share, pole_share = head.num * b, Poly([])
-        else:
-            rest = b.exact_div(lins[i] ** vs[i])
-            head_share = head.num * rest
-            pole_share = rest * lins[i] ** (vs[i] - 1)
-        shares.append([
-            head_share.scale(sg) + pole_share.scale(d.alpha(sg))
-            for sg in signs[-1]
-        ])
-    op = _Case1Operator(b, r)
+    # equal alphas and a zero head (a simple pole): one omega, one sign
+    signs = [
+        (1,)
+        if d.alpha_plus == d.alpha_minus and d.sqrt_head.is_zero()
+        else (1, -1)
+        for d in points
+    ]
+
+    @cache
+    def setup():
+        # omega = A/B, B = prod (x - c)^v with v the pole order of omega
+        # at c: that of the head at a c3 pole, else 1.  Each point has a
+        # share of A per sign, its head and alpha/(x - c) times B, and a
+        # candidate's A is the sum of the shares it picks.
+        lins = [Poly([-d.point, 1]) for d in locals_]
+        vs = [max(1, d.sqrt_head.den.degree()) for d in locals_]
+        b = Poly([1])
+        for lin, v in zip(lins, vs):
+            b = b * lin**v
+        shares = []
+        for i, (d, sgs) in enumerate(zip(points, signs)):
+            head = RatFunc.coerce(d.sqrt_head)
+            if d is data_inf:
+                head_share, pole_share = head.num * b, Poly([])
+            else:
+                rest = b.exact_div(lins[i] ** vs[i])
+                head_share = head.num * rest
+                pole_share = rest * lins[i] ** (vs[i] - 1)
+            shares.append([
+                head_share.scale(sg) + pole_share.scale(d.alpha(sg))
+                for sg in sgs
+            ])
+        return b, shares, _Case1Operator(b, r)
 
     def build(choice, m):
+        b, shares, op = setup()
         a = Poly([])
-        for share in choice:
-            a = a + share
+        for share, j in zip(shares, choice):
+            a = a + share[j]
         p = _monic_poly_solution(_images(op.coeffs(a), m))
         if p is None:
             return None
@@ -466,8 +544,10 @@ def case1(r: RatFunc, poles=None, roots=None):
             return Case1Result(omega, p, m)
         return None
 
+    # a choice picks, per point, the index of its sign
     alphas = [[d.alpha(sg) for sg in sgs] for d, sgs in zip(points, signs)]
-    return _search(alphas, shares, Fraction(1), build)
+    indices = [range(len(sgs)) for sgs in signs]
+    return _search(alphas, indices, Fraction(1), build)
 
 
 def _omega_mod(g, f):
@@ -515,12 +595,10 @@ def _exponent_sets(r: RatFunc, poles, roots, center, ns):
     """Per n in ns, lazily: E_c of Cases 2 and 3, finite poles first.  A
     pole of order 2, and infinity of order o >= 2 (b = 0 if o > 2), get
     center + (2 center k / n) sqrt(1 + 4b), |k| <= n/2, in sort_key order;
-    a simple pole {2 center}, a pole of order k > 2 {k}, infinity {o}.
-    roots are _order2_roots(r, poles)."""
+    a pole of order k > 2 {k}, infinity {o}.  No pole is simple (a
+    logarithmic point, _logarithmic).  roots are _order2_roots(r, poles)."""
     local = [
-        root
-        if order == 2
-        else [Scalar.coerce(2 * center if order == 1 else order)]
+        root if order == 2 else [Scalar.coerce(order)]
         for (_, order), root in zip(poles, roots)
     ]
     o = r.order_at_infinity()
@@ -600,19 +678,25 @@ class _Case2Operator:
 
 
 def case2(r: RatFunc, poles=None, roots=None):
+    """Kovacic's Case 2, for an r whose Case 1 has failed.  A simple pole
+    is a logarithmic point, which D-infinity rules out: None at once."""
     r = RatFunc.coerce(r)
     if poles is None:
         poles = r.poles()
-    if not poles:
+    if not poles or any(o == 1 for _, o in poles):
         return None
     if roots is None:
         roots = _order2_roots(r, poles)
     # Kovacic's E_c: {2, 2 +- 2 sqrt(1 + 4b)}, m = (e_inf - sum e_c) / 2
     sets = next(_exponent_sets(r, poles, roots, 2, [2]))
-    s_poly, cofactors = _pole_product(poles)
-    op = _Case2Operator(s_poly, r)
+
+    @cache
+    def setup():
+        s_poly, cofactors = _pole_product(poles)
+        return s_poly, cofactors, _Case2Operator(s_poly, r)
 
     def build(choice, m):
+        s_poly, cofactors, op = setup()
         t = _s_theta(cofactors, choice[:-1], Fraction(1, 2))
         p = _monic_poly_solution(_images(op.coeffs(t), m))
         if p is None:
@@ -628,18 +712,49 @@ def case2(r: RatFunc, poles=None, roots=None):
     return _search(sets, sets, Fraction(1, 2), build)
 
 
+def _case3_degrees(roots):
+    """The n of Case 3 whose groups have every local projective order
+    (Ulmer & Weil 1996): an orbit of 4 on P^1 only A4 has, one of 6 A4
+    and S4, one of 12 A4, S4 and A5, whose element orders are {1, 2, 3},
+    {1, 2, 3, 4} and {1, 2, 3, 5}.  At a point of order 2 without a
+    logarithm the order is the denominator of N = sqrt(1 + 4b), infinite
+    for an irrational N; elsewhere, once Case 3 applies, it is 1.  roots
+    are _order2_roots(r, poles)."""
+    orders = set()
+    for root in roots:
+        if root is not None:
+            if not root.is_rational():
+                return ()
+            orders.add(root.as_fraction().denominator)
+    if orders <= {1, 2, 3}:
+        return (4, 6, 12)
+    if orders <= {1, 2, 3, 4}:
+        return (6, 12)
+    return (12,) if orders <= {1, 2, 3, 5} else ()
+
+
 def case3(r: RatFunc, poles=None, roots=None):
+    """Kovacic's Case 3, for an r whose Cases 1 and 2 have failed, at
+    each n that _case3_degrees allows.  Poles of order 2 only (a simple
+    pole is logarithmic) and order >= 2 at infinity, else None at once."""
     r = RatFunc.coerce(r)
     if poles is None:
         poles = r.poles()
-    if not poles or any(o > 2 for _, o in poles) or r.order_at_infinity() < 2:
+    if not poles or r.order_at_infinity() < 2:
+        return None
+    if any(o != 2 for _, o in poles):
         return None
     if roots is None:
         roots = _order2_roots(r, poles)
-    s_poly, cofactors = _pole_product(poles)
-    s2r = (RatFunc.coerce(s_poly) ** 2 * r).as_poly()
+
+    @cache
+    def setup():
+        s_poly, cofactors = _pole_product(poles)
+        s2r = (RatFunc.coerce(s_poly) ** 2 * r).as_poly()
+        return s_poly, cofactors, s2r
 
     def build(choice, m, n):
+        s_poly, cofactors, s2r = setup()
         s_theta = _s_theta(cofactors, choice[:-1], Fraction(n, 12))
         d, (s, t, r2) = _integer_lists(s_poly, s_theta, s2r)
         images = [
@@ -666,7 +781,7 @@ def case3(r: RatFunc, poles=None, roots=None):
         return None
 
     # Kovacic's E_c: 6 + (12 k / n) sqrt(1 + 4b), |k| <= n/2
-    ns = (4, 6, 12)
+    ns = _case3_degrees(roots)
     for n, sets in zip(ns, _exponent_sets(r, poles, roots, 6, ns)):
         res = _search(sets, sets, Fraction(n, 12), partial(build, n=n))
         if res is not None:
@@ -725,18 +840,20 @@ def _add_product(out, f, g, c):
 
 
 def solve_rlde(e) -> object:
-    """Full decision: Case1/Case2/Case3 result, or Case4Result."""
+    """Full decision: Case1/Case2/Case3 result, or Case4Result.  Once
+    Case 1 has failed, a logarithmic point means Case 4."""
     if isinstance(e, ReducedODE):
         r = e.rho
     else:
         r = RatFunc.coerce(e)
     poles = r.poles()
     roots = _order2_roots(r, poles)
-    for case in (case1, case2, case3):
-        res = case(r, poles, roots)
-        if res is not None:
-            return res
-    return Case4Result()
+    res = case1(r, poles, roots)
+    if res is None and not _logarithmic(r, poles, roots):
+        res = case2(r, poles, roots)
+        if res is None:
+            res = case3(r, poles, roots)
+    return Case4Result() if res is None else res
 
 
 def second_solution(res: Case1Result) -> SecondSolution:

@@ -26,9 +26,9 @@ Scalar (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6):
   (Gauss's lemma) and folds its content into the denominator;
 - gcd runs GCDHEU (_heu_gcd): one integer gcd of the two values at a
   large point, read back as a polynomial and accepted only when it
-  divides both operands exactly, which also gives the cofactors; after
-  a few points it falls back to the primitive polynomial remainder
-  sequence (_prs_gcd);
+  divides both operands exactly, which also gives the cofactors
+  (gcd_cofactors hands them up); after a few points it falls back to
+  the primitive polynomial remainder sequence (_prs_gcd);
 - _rational_canonical, which RatFunc uses to cancel a numerator against
   its denominator, takes contents and then the primitive gcd with its
   cofactors in one pass.
@@ -404,6 +404,31 @@ def gcd(a: Poly, b: Poly) -> Poly:
         # x - root divides b or is coprime to it
         return a.monic() if b(-a.coeff(0) / a.coeff(1)).is_zero() else Poly([1])
     return _euclid_gcd(a, b)
+
+
+def gcd_cofactors(a: Poly, b: Poly):
+    """(g, a/g, b/g) for nonzero a and b, g = gcd(a, b).  Rational
+    operands take the cofactors f, k of their primitive parts from
+    GCDHEU: with h their primitive gcd, g = h / lc(h) and a/g =
+    cont(a) lc(h) f over a's denominator.  With a tower coefficient the
+    cofactors are exact quotients by gcd(a, b)."""
+    fa, fb = _rational_coeffs(a), _rational_coeffs(b)
+    if fa is None or fb is None:
+        g = gcd(a, b)
+        if g.degree() == 0:
+            return g, a, b
+        return g, a.exact_div(g), b.exact_div(g)
+    (ia, da), (ib, db) = fa, fb
+    ca, cb = igcd(*ia), igcd(*ib)
+    h, f, k = _heu_gcd(_primitive(ia, ca), _primitive(ib, cb))
+    if len(h) == 1:
+        return Poly._from_zz([1], 1), a, b
+    ua, ub = ca * h[-1], cb * h[-1]
+    return (
+        _monic(h),
+        Poly._from_zz([ua * c for c in f], da),
+        Poly._from_zz([ub * c for c in k], db),
+    )
 
 
 def _euclid_gcd(a: Poly, b: Poly) -> Poly:

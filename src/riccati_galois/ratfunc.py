@@ -34,6 +34,7 @@ from .poly import (
     _rational_coeffs,
     extended_gcd,
     gcd,
+    gcd_cofactors,
     roots_with_multiplicity,
 )
 from .scalars import QQ, Scalar
@@ -82,17 +83,14 @@ class RatFunc:
         # (num1 * den2/g + num2 * den1/g) / (den1 * den2/g), and any
         # common factor of that numerator and denominator divides g
         other = RatFunc.coerce(other)
-        g = gcd(self.den, other.den)
+        g, d1g, d2g = gcd_cofactors(self.den, other.den)
+        num = self.num * d2g + other.num * d1g
+        den = self.den * d2g
         if g.degree() == 0:
             # coprime denominators: g = 1 and the sum is already canonical
-            num = self.num * other.den + other.num * self.den
-            return RatFunc(num, self.den * other.den, _canonical=True)
-        d2g = other.den.exact_div(g)
-        num = self.num * d2g + other.num * self.den.exact_div(g)
+            return RatFunc(num, den, _canonical=True)
         h = gcd(num, g)
-        return RatFunc(
-            num.exact_div(h), (self.den * d2g).exact_div(h), _canonical=True
-        )
+        return RatFunc(num.exact_div(h), den.exact_div(h), _canonical=True)
 
     __radd__ = __add__
 

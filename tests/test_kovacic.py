@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import time
 from fractions import Fraction as F
+from math import comb, isqrt
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,12 @@ from riccati_galois.kovacic import (
     INFINITY,
     Case4Result,
     _case3_chain,
+    _case3_degrees,
+    _frobenius_log,
     _integer_lists,
+    _logarithmic,
+    _order2_root,
+    _order2_roots,
     _search,
     case1,
     case2,
@@ -31,7 +38,7 @@ from riccati_galois.odeforms import ReducedODE
 from riccati_galois.poly import Poly, gcd
 from riccati_galois.ratfunc import RatFunc
 from riccati_galois.scalars import Scalar, scalar_sqrt
-from riccati_galois.specialfn import ExponentDiffs, kimura_test
+from riccati_galois.specialfn import _TABLE, ExponentDiffs, kimura_test
 
 
 X = Poly.x()
@@ -311,23 +318,26 @@ def test_pinned_certificates(row):
     assert out.getvalue() == row["stdout"]
 
 
-def mobius_pullback(rho):
-    """rho(x(t)) (ad - bc)^2 / (ct + d)^4 for x = (2t + 1)/(t + 3).
+def mobius_pullback(rho, a=2, b=1, c=1, d=3):
+    """rho(x(t)) (ad - bc)^2 / (ct + d)^4 for x = (at + b)/(ct + d).
 
     The Schwarzian of a Moebius map is 0, so this is the reduced
     potential of the pulled-back equation and the Galois group is kept.
-    Infinity becomes the ordinary point x = 2, so every singular point
-    of the result is a finite pole."""
-    num, den = Poly([1, 2]), Poly([3, 1])
+    For the default map infinity becomes the ordinary point x = 2, so
+    every singular point of the result is a finite pole."""
+    num, den = Poly([b, a]), Poly([d, c])
     deg = max(rho.num.degree(), rho.den.degree())
 
     def homogenised(p):
         out = Poly([])
-        for i, c in enumerate(p.coeffs):
-            out = out + Poly([c]) * num**i * den ** (deg - i)
+        for i, coeff in enumerate(p.coeffs):
+            out = out + Poly([coeff]) * num**i * den ** (deg - i)
         return out
 
-    return RatFunc(homogenised(rho.num) * 25, homogenised(rho.den) * den**4)
+    jacobian = (a * d - b * c) ** 2
+    return RatFunc(
+        homogenised(rho.num) * jacobian, homogenised(rho.den) * den**4
+    )
 
 
 @pytest.mark.parametrize(
@@ -789,3 +799,312 @@ def test_order2_roots_once_per_equation():
         mp.setattr(kovacic, "_order2_root", counting)
         assert solve_rlde(rho).case == 4
     assert len(calls) == 3
+
+
+# -- local monodromy: logarithmic points and projective orders ------------
+
+
+def fraction_laurent(r, point, count):
+    """(valuation, first count coefficients) of r at a rational point, or
+    of t^-4 r(1/t) at t = 0 for INFINITY, on plain Fractions."""
+    num = [c.as_fraction() for c in r.num.coeffs]
+    den = [c.as_fraction() for c in r.den.coeffs]
+    if point is INFINITY:
+        shift = len(den) - len(num) - 4
+        num, den = num[::-1], den[::-1]
+    else:
+        shift = 0
+        c = F(point)
+        num, den = (
+            [
+                sum(p[i] * comb(i, k) * c ** (i - k) for i in range(k, len(p)))
+                for k in range(len(p))
+            ]
+            for p in (num, den)
+        )
+    vn = next(i for i, v in enumerate(num) if v)
+    vd = next(i for i, v in enumerate(den) if v)
+    num = num[vn:] + [F(0)] * count
+    den = den[vd:] + [F(0)] * count
+    out = []
+    for k in range(count):
+        acc = num[k] - sum(den[i] * out[k - i] for i in range(1, k + 1))
+        out.append(acc / den[0])
+    return shift + vn - vd, out
+
+
+def log_reference(r, point):
+    """True iff the point (rational or INFINITY) of xi'' = r xi is a
+    regular singular point whose local solutions carry a logarithm, by
+    the Frobenius recursion for the smaller exponent on Fractions."""
+    val, (r0,) = fraction_laurent(r, point, 1)
+    if val >= 0:
+        return False  # an ordinary point
+    assert val >= -2, "an irregular point"
+    b = r0 if val == -2 else F(0)  # a simple pole: b = 0, N = 1
+    disc = 1 + 4 * b
+    n = isqrt(disc.numerator)
+    if disc.denominator != 1 or n * n != disc.numerator:
+        return False  # N is not an integer
+    alpha = (1 - F(n)) / 2
+    _, rs = fraction_laurent(r, point, n + 1)
+    if val == -1:
+        rs = [F(0)] + rs
+    a = [F(1)]
+    for j in range(1, n + 1):
+        lhs = (alpha + j) * (alpha + j - 1) - b
+        rhs = sum(rs[k] * a[j - k] for k in range(1, j + 1))
+        if lhs == 0:
+            return rhs != 0  # j = N: the point is logarithmic iff rhs != 0
+        a.append(rhs / lhs)
+    return True  # N = 0
+
+
+def singular_points(r):
+    return [c.as_fraction() for c, _ in r.poles()] + [INFINITY]
+
+
+class TestLogarithmicPoints:
+    @pytest.mark.parametrize(
+        "rho, point, n, expected",
+        [
+            ("-1/(4*x^2)", 0, 0, True),  # N = 0: equal exponents
+            ("(4 - x^2)/(4*x^4)", INFINITY, 0, True),  # -1/(4t^2) + 1
+            ("3/(4*x^2) + 1/x", 0, 2, True),  # r_2 - r_1^2 = -1
+            ("3/(4*x^2) + 1/x + 1", 0, 2, False),  # r_2 = r_1^2: apparent
+            ("2/x^2 + 1/x", 0, 3, True),
+            ("2/x^2 + 1", 0, 3, False),  # spherical Bessel, no logarithm
+            ("(2*x^2 + x)/x^4", INFINITY, 3, True),  # 2/t^2 + 1/t at t = 0
+            ("(2*x^2 + 1)/x^4", INFINITY, 3, False),  # 2/t^2 + 1
+            ("(15/4*x^2 - 15/4*x + 3/4)/(x^4 - 2*x^3 + x^2)", 0, 2, True),
+            ("(15/4*x^2 - 15/4*x + 3/4)/(x^4 - 2*x^3 + x^2)", INFINITY, 4, True),
+        ],
+    )
+    def test_order2_points(self, rho, point, n, expected):
+        r = parse_ratfunc(rho)
+        at = point if point is INFINITY else Scalar.coerce(point)
+        root = _order2_root(r, at)
+        assert root == n
+        assert _frobenius_log(r, at, root) == expected
+        assert log_reference(r, point) == expected
+
+    @pytest.mark.parametrize(
+        "rho, expected",
+        [
+            ("1/x", True),  # a simple pole: N = 1, exponents 0 and 1
+            ("1/x - 3/(16*x^2)", False),
+            ("x/((x - 1)^2*(x + 1)^2)", True),  # order 3 at infinity only
+            ("x^2 - 1", False),
+            ("2/x^2 + 1", False),
+            ("3/(4*x^2) + 1/x", True),
+        ],
+    )
+    def test_whole_equation(self, rho, expected):
+        r = parse_ratfunc(rho)
+        poles = r.poles()
+        assert _logarithmic(r, poles, _order2_roots(r, poles)) == expected
+        if r.order_at_infinity() >= 2 and all(o <= 2 for _, o in poles):
+            assert any(log_reference(r, p) for p in singular_points(r)) == expected
+
+    def test_large_n_stays_cheap(self):
+        # N = 1001 at 0: the recursion runs modulo a prime (0.4 s); on
+        # Fractions N = 321 alone took 2.2 s
+        n = 1001
+        r = parse_ratfunc("%d/x^2 + 1/x + 2/(x - 1)^2" % ((n * n - 1) // 4))
+        start = time.perf_counter()
+        assert _frobenius_log(r, Scalar.coerce(0), Scalar.coerce(n))
+        assert time.perf_counter() - start < 5.0
+
+    def test_tower_points_are_not_tested(self):
+        # N = 2 at +-sqrt(2): no logarithm is proved, so the Case 2 and 3
+        # searches run and answer
+        r = parse_ratfunc("6/(x^2 - 2)^2 + 1/x^2")
+        poles = r.poles()
+        roots = _order2_roots(r, poles)
+        towers = [
+            (c, root) for (c, _), root in zip(poles, roots) if not c.is_rational()
+        ]
+        assert len(towers) == 2
+        for c, root in towers:
+            assert root == 2 and not _frobenius_log(r, c, root)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([F(-1, 4), F(3, 4), F(2), F(15, 4), F(5, 16)]),
+        st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+        st.booleans(),
+    )
+    def test_matches_fraction_recursion(self, b, tail, at_infinity):
+        # b x^-2 + sum_k tail[k-1] x^(k-2): N = 0, 2, 3, 4 and 3/2, with
+        # small tails that often make the point apparent
+        coeffs = [b] + tail
+        if at_infinity:
+            # sum_k coeffs[k] x^-(k+2): t^-4 r(1/t) has the same expansion
+            r = RatFunc(Poly(coeffs[::-1]), X ** (len(coeffs) + 1))
+            point = INFINITY
+        else:
+            r, point = RatFunc(Poly(coeffs), X**2), Scalar.coerce(0)
+        root = _order2_root(r, point)
+        expected = log_reference(r, point if point is INFINITY else 0)
+        assert _frobenius_log(r, point, root) == expected
+
+
+# Kimura's table families by the projective group (Kimura 1969): 1
+# dihedral, 2-3 tetrahedral, 4-5 octahedral, 6-15 icosahedral
+FAMILY_N = {2: 4, 3: 4, 4: 6, 5: 6, **{f: 12 for f in range(6, 16)}}
+
+
+@st.composite
+def kimura_pullbacks(draw):
+    """(triple, rho): a signed, permuted triple of a Kimura family and
+    the Moebius pullback of its hypergeometric potential.  Families 1-5
+    get integer offsets in {-1, 0, 1}; the icosahedral ones, whose
+    searches grow fast with the offsets, none."""
+    family = draw(st.integers(1, 15))
+    *heads, parity = _TABLE[family - 1]
+    span = (-1, 0, 1) if family <= 5 else (0,)
+    offsets = [draw(st.sampled_from(span)) for _ in heads]
+    if parity and sum(offsets) % 2:
+        offsets[0] += 1
+    triple = []
+    for head, offset in zip(heads, offsets):
+        if head is None:  # family 1's free entry
+            head = F(draw(st.integers(1, 5)), draw(st.integers(2, 6)))
+        triple.append((head + offset) * draw(st.sampled_from((1, -1))))
+    triple = draw(st.permutations(triple))
+    a, b, c, d = (draw(st.integers(-3, 3)) for _ in range(4))
+    assume(a * d != b * c)
+    rho = mobius_pullback(hypergeometric_rho(*triple), a, b, c, d)
+    return triple, rho
+
+
+@settings(max_examples=25, deadline=None)
+@given(kimura_pullbacks())
+def test_kimura_families_answer_without_logarithms(instance):
+    triple, rho = instance
+    verdict = kimura_test(ExponentDiffs(*triple))
+    res = solve_rlde(rho)
+    if verdict.detail["condition"] == "odd-sum":
+        assert res.case == 1
+        return
+    family = verdict.detail["family"]
+    if family == 1:
+        assert res.case == 2
+    else:
+        assert res.case == 3 and res.n == FAMILY_N[family]
+    # D-infinity and the finite groups hold no unipotent element
+    assert not any(log_reference(rho, p) for p in singular_points(rho))
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        hypergeometric_rho(2, 2, 2),
+        hypergeometric_rho(2, 2, 4),
+        hypergeometric_rho(3, 3, 2),
+        mobius_pullback(hypergeometric_rho(2, 2, 2)),
+    ],
+    ids=["(2,2,2)", "(2,2,4)", "(3,3,2)", "pullback (2,2,2)"],
+)
+def test_integer_triples_stop_at_a_logarithm(rho):
+    # every exponent set is integral, so without the log rule the
+    # search builds hundreds to thousands of candidates (3-61 s)
+    start = time.perf_counter()
+    assert solve_rlde(rho).case == 4
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "triple, degrees",
+    [
+        ((F(1, 2), F(1, 3), F(1, 3)), (4, 6, 12)),  # tetrahedral
+        ((F(1, 2), F(1, 3), F(1, 4)), (6, 12)),  # octahedral
+        ((F(1, 2), F(1, 3), F(1, 5)), (12,)),  # icosahedral
+        ((F(1, 2), F(1, 4), F(1, 5)), ()),  # orders 4 and 5
+        ((F(1, 3), F(1, 4), F(1, 7)), ()),  # order 7
+        ((F(1, 2), F(1, 3), F(7, 6)), ()),  # order 6
+        ((F(1, 2), F(1, 3), Scalar.coerce(2).sqrt()), ()),  # infinite
+        ((F(1, 2), F(2, 3), F(3)), (4, 6, 12)),  # an integer N: order 1
+    ],
+)
+def test_case3_degrees_from_local_orders(triple, degrees):
+    r = hypergeometric_rho(*triple)
+    assert _case3_degrees(_order2_roots(r, r.poles())) == degrees
+
+
+@pytest.mark.parametrize(
+    "triple, scales, n",
+    [
+        # the search at n runs at scale n/12
+        ((F(1, 2), F(1, 3), F(1, 3)), [F(1, 3)], 4),
+        ((F(1, 2), F(1, 3), F(1, 4)), [F(1, 2)], 6),
+        ((F(1, 2), F(1, 3), F(1, 5)), [F(1)], 12),
+        ((F(1, 2), F(1, 4), F(1, 5)), [], None),
+    ],
+)
+def test_case3_searches_only_degrees_its_group_can_have(triple, scales, n):
+    r = schwarz_hypergeometric(*triple)
+    seen = []
+
+    def search(exponents, tags, scale, build):
+        seen.append(scale)
+        return real_search(exponents, tags, scale, build)
+
+    real_search = kovacic._search
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kovacic, "_search", search)
+        res = case3(r)
+    assert seen == scales
+    assert (res and res.n) == n
+
+
+def counted_setup(mp):
+    """Patch the Case 1-3 setup steps to log their names; the log."""
+    made = []
+    for name in ("_Case1Operator", "_Case2Operator", "_pole_product"):
+        def counting(*args, _real=getattr(kovacic, name), _name=name):
+            made.append(_name)
+            return _real(*args)
+
+        mp.setattr(kovacic, name, counting)
+    return made
+
+
+def test_setup_waits_for_a_surviving_candidate():
+    # Bessel with n = 1/3: no choice of exponents gives a degree m >= 0
+    # in Case 1 or 2, and Case 3 needs order >= 2 at infinity
+    n = F(1, 3)
+    r = rf(Poly([4 * n * n - 1]), 4 * X**2) - 1
+    builds = []
+
+    def search(exponents, tags, scale, build):
+        def logged(*args):
+            builds.append(scale)
+            return build(*args)
+
+        return real_search(exponents, tags, scale, logged)
+
+    real_search = kovacic._search
+    with pytest.MonkeyPatch.context() as mp:
+        made = counted_setup(mp)
+        mp.setattr(kovacic, "_search", search)
+        assert solve_rlde(r).case == 4
+        assert builds == [] and made == []
+        # with survivors, a case sets up once for all its candidates: the
+        # (1/3, 1/4, 2) potential builds 63 of them in Case 3 (n = 6, 12)
+        r = parse_ratfunc(PINNED[-1]["rho"])
+        assert case3(r) is None
+        assert len(builds) == 63 and made == ["_pole_product"]
+
+
+def test_simple_pole_ends_cases_2_and_3_at_once():
+    # a simple pole is logarithmic, which D-infinity and the finite
+    # groups rule out: no search, no setup
+    r = parse_ratfunc("1/x - 3/(16*x^2) + 1/(x - 1)")
+    searched = []
+    with pytest.MonkeyPatch.context() as mp:
+        made = counted_setup(mp)
+        mp.setattr(kovacic, "_search", lambda *args: searched.append(args))
+        assert case2(r) is None and case3(r) is None
+    assert searched == [] and made == []
+    assert solve_rlde(r).case == 4

@@ -30,6 +30,7 @@ from riccati_galois.poly import (
     _prs_gcd,
     extended_gcd,
     gcd,
+    gcd_cofactors,
     rational_roots,
     roots_with_multiplicity,
     squarefree_decomposition,
@@ -805,6 +806,36 @@ class TestRationalKernel:
             ref_num, ref_den = _canonical_form(num, den)
         assert keys(r.num) == keys(ref_num)
         assert keys(r.den) == keys(ref_den)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fraction_polys, fraction_polys, fraction_polys, fraction_polys, fraction_polys
+    )
+    def test_sum_matches_gcd_and_exact_div(self, common, n1, d1, n2, d2):
+        # the cofactors GCDHEU hands up against gcd and two exact
+        # divisions, the formula they replace in RatFunc.__add__
+        assume(not common.is_zero() and not d1.is_zero() and not d2.is_zero())
+        r1, r2 = RatFunc(n1, common * d1), RatFunc(n2, common * d2)
+        g = gcd(r1.den, r2.den)
+        q1, q2 = r1.den.exact_div(g), r2.den.exact_div(g)
+        got = gcd_cofactors(r1.den, r2.den)
+        assert [keys(p) for p in got] == [keys(g), keys(q1), keys(q2)]
+        for p in got:
+            assert_canonical(p)
+        s = r1 + r2
+        num = r1.num * q2 + r2.num * q1
+        h = gcd(num, g)
+        assert keys(s.num) == keys(num.exact_div(h))
+        assert keys(s.den) == keys((r1.den * q2).exact_div(h))
+
+    @settings(max_examples=40, deadline=None)
+    @given(surd_polys, surd_polys, surd_polys)
+    def test_gcd_cofactors_with_tower_coefficients(self, common, p, q):
+        assume(not common.is_zero() and not p.is_zero() and not q.is_zero())
+        a, b = common * p, common * q
+        g, qa, qb = gcd_cofactors(a, b)
+        assert keys(g) == keys(gcd(a, b))
+        assert qa * g == a and qb * g == b
 
     def test_canonical_form_examples(self):
         # negative leading coefficients and fractional contents on both
