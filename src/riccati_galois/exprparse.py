@@ -5,17 +5,29 @@ Expressions are built from integer literals, bound symbols, the
 operators + - * / ^ and sqrt(...).  Precedence, from strongest: ^
 (right-associative, integer exponents), unary minus, * and /, then +
 and -.  Parsing and evaluation are separate: parse() produces a small
-tree, and the evaluators interpret it over the rational-function or
-bivariate domains.  Printing is canonical: parsing a printed value
-gives the value back.
+tree, and the evaluators interpret it.  Printing is canonical: parsing a
+printed value gives the value back.
+
+parse_ratfunc and parse_scalar (and so every --param and criteria flag)
+run _evaluate_form: a subtree whose value is a rational polynomial is
+held as its integer form (ints, den), as in poly.py, so + - * and ^ with
+an exponent >= 0 are integer list arithmetic, and the power bounds are
+read off that form.  The first RatFunc, with its one canonicalisation,
+is built at a division by a non-constant, a negative power or a tower
+constant, and the first Scalar at a sqrt or for a constant result.  The
+bivariate grammar runs _evaluate, with a value of its domain at every
+node; over RatFunc that is the reference the tests hold the integer
+route to.  Dividing by a value that is zero, or raising it to a negative
+power, is a ParseError at the / or ^.
 """
 
 from fractions import Fraction
+from math import gcd as igcd
 
 from .bivar import BivarPoly, BivarRatFunc, PlanarVectorField
-from .poly import Poly
+from .poly import Poly, _rational_coeffs
 from .ratfunc import RatFunc
-from .scalars import Scalar
+from .scalars import QQ, Scalar
 
 
 class ParseError(SyntaxError):
@@ -114,9 +126,11 @@ class _Parser:
             if kind == "op" and value in "*/":
                 self.next()
                 right = self.unary()
-                if value == "/" and _syntactic_zero(right):
-                    raise ParseError("division by zero", at)
-                node = ("mul" if value == "*" else "div", node, right)
+                if value == "*":
+                    node = ("mul", node, right)
+                else:
+                    # the evaluators report a zero divisor at this position
+                    node = ("div", node, right, at)
             else:
                 return node
 
@@ -158,14 +172,6 @@ class _Parser:
         raise ParseError(
             "expected a literal, symbol or parenthesis", at
         )
-
-
-def _syntactic_zero(node):
-    if node == ("int", 0):
-        return True
-    if node[0] == "neg":
-        return _syntactic_zero(node[1])
-    return False
 
 
 def parse(src):
@@ -220,7 +226,9 @@ def _eval_int(node, at):
 
 def _degree(value):
     """The larger degree of value's numerator and denominator (total
-    degree for bivariate values)."""
+    degree for bivariate values; an integer form's denominator is 1)."""
+    if type(value) is tuple:
+        return max(len(value[0]) - 1, 0)
     if isinstance(value, RatFunc):
         return max(value.num.degree(), value.den.degree())
     return max(value.num.total_degree(), value.den.total_degree())
@@ -233,21 +241,53 @@ def _scalar_bits(s: Scalar) -> int:
     return max(_scalar_bits(half) for half in s.val)
 
 
-def _power_bits(base, exponent):
-    """The size of base**exponent that MAX_POWER_BITS bounds; a bivariate
-    result counts every monomial up to its total degree."""
-    polys = [base.num, base.den]
-    degree = abs(exponent) * _degree(base)
-    if isinstance(base, RatFunc):
-        terms = degree + 1
+def _coeff_bits(p: Poly) -> int:
+    """The bit size of p's largest coefficient in lowest terms."""
+    zz = _rational_coeffs(p)
+    if zz is None:
+        return max(_scalar_bits(c) for c in p.coeffs)
+    return _form_bits(*zz)
+
+
+def _form_bits(ints, den) -> int:
+    """_coeff_bits of ints / den; 1 for the zero polynomial, as for the
+    denominator 1."""
+    bits = 1
+    for c in ints:
+        g = igcd(c, den)
+        bits = max(bits, (c // g).bit_length(), (den // g).bit_length())
+    return bits
+
+
+def _check_power(base, exponent, at):
+    """Stop base**exponent before it is computed when its degree is above
+    MAX_EXPONENT or its size above MAX_POWER_BITS: |exponent| times the
+    bits of the largest coefficient times the number of coefficients of
+    the result (every monomial up to its total degree when bivariate)."""
+    n, degree = abs(exponent), _degree(base)
+    if n * max(degree, 1) > MAX_EXPONENT:
+        raise ParseError(
+            "exponent or degree of a power above %d" % MAX_EXPONENT, at
+        )
+    terms = n * degree + 1
+    if type(base) is tuple:
+        bits = _form_bits(*base)
+    elif isinstance(base, RatFunc):
+        bits = max(_coeff_bits(base.num), _coeff_bits(base.den))
     else:
-        polys = [p for b in polys for p in b.w_coeffs()]
-        terms = (degree + 1) * (degree + 2) // 2
-    bits = max(_scalar_bits(c) for p in polys for c in p.coeffs)
-    return abs(exponent) * bits * terms
+        polys = base.num.w_coeffs() + base.den.w_coeffs()
+        bits = max(_coeff_bits(p) for p in polys)
+        terms = terms * (terms + 1) // 2
+    if n * bits * terms > MAX_POWER_BITS:
+        raise ParseError("size of a power above %d bits" % MAX_POWER_BITS, at)
+    if exponent < 0 and base.is_zero():
+        raise ParseError("division by zero", at)
 
 
 def _evaluate(node, env, coerce, to_scalar):
+    """The value of a tree with every node a coerce()d value: the
+    evaluator of the bivariate grammar, and with RatFunc the reference
+    the tests hold _evaluate_form to."""
     op = node[0]
     if op == "int":
         return coerce(node[1])
@@ -267,24 +307,153 @@ def _evaluate(node, env, coerce, to_scalar):
         _, base_node, exponent_node, at = node
         base = coerce(_evaluate(base_node, env, coerce, to_scalar))
         exponent = _eval_int(exponent_node, at)
-        if abs(exponent) * max(_degree(base), 1) > MAX_EXPONENT:
-            raise ParseError(
-                "exponent or degree of a power above %d" % MAX_EXPONENT, at
-            )
-        if _power_bits(base, exponent) > MAX_POWER_BITS:
-            raise ParseError(
-                "size of a power above %d bits" % MAX_POWER_BITS, at
-            )
+        _check_power(base, exponent, at)
         return base**exponent
     left = _evaluate(node[1], env, coerce, to_scalar)
     right = _evaluate(node[2], env, coerce, to_scalar)
+    return _binary(node, left, right)
+
+
+def _binary(node, left, right):
+    """+ - * / of two values of one domain; node[3] is the position of
+    a /."""
+    op = node[0]
     if op == "add":
         return left + right
     if op == "sub":
         return left - right
     if op == "mul":
         return left * right
+    if right.is_zero():
+        raise ParseError("division by zero", node[3])
     return left / right
+
+
+def _evaluate_form(node, env):
+    """The value of a tree for parse_ratfunc and parse_scalar.
+
+    A subtree whose value is a rational polynomial evaluates to an
+    integer form (ints, den) as in poly.py, with no trailing zero but not
+    necessarily in lowest terms, so + - * and ^ are integer list
+    arithmetic with no gcd, and a division by a nonzero constant scales
+    the form.  A RatFunc, with its one canonicalisation, is first built
+    at a division by a non-constant, a negative power or a tower
+    constant; from there on the value is a RatFunc, as in _evaluate.
+    """
+    op = node[0]
+    if op == "int":
+        return ([node[1]] if node[1] else []), 1
+    if op == "sym":
+        if node[1] not in env:
+            raise ParseError("unbound symbol %r" % node[1], node[2])
+        return env[node[1]]
+    if op == "neg":
+        value = _evaluate_form(node[1], env)
+        if type(value) is tuple:
+            return [-c for c in value[0]], value[1]
+        return -value
+    if op == "sqrt":
+        value = _form_to_scalar(_evaluate_form(node[1], env))
+        if value is None:
+            raise ParseError("sqrt of a non-constant expression", node[2])
+        return _scalar_form(value.sqrt())
+    if op == "pow":
+        _, base_node, exponent_node, at = node
+        base = _evaluate_form(base_node, env)
+        exponent = _eval_int(exponent_node, at)
+        if type(base) is tuple and exponent >= 0:
+            _check_power(base, exponent, at)
+            return _form_pow(base, exponent)
+        base = _as_ratfunc(base)
+        _check_power(base, exponent, at)
+        return base**exponent
+    left = _evaluate_form(node[1], env)
+    right = _evaluate_form(node[2], env)
+    if type(left) is not tuple or type(right) is not tuple:
+        return _binary(node, _as_ratfunc(left), _as_ratfunc(right))
+    if op == "mul":
+        return _form_mul(left, right)
+    (f, df), (g, dg) = left, right
+    if op == "div":
+        if not g:
+            raise ParseError("division by zero", node[3])
+        if len(g) > 1:
+            # the quotient's one canonicalisation
+            return RatFunc(
+                Poly._from_zz(list(f), df), Poly._from_zz(list(g), dg)
+            )
+        # times dg / g[0], over a positive denominator
+        if g[0] < 0:
+            dg = -dg
+        return [c * dg for c in f], df * abs(g[0])
+    if op == "sub":
+        g = [-c for c in g]
+    if df != dg:
+        f, g, df = [c * dg for c in f], [c * df for c in g], df * dg
+    n = min(len(f), len(g))
+    out = [a + b for a, b in zip(f, g)] + f[n:] + g[n:]
+    while out and not out[-1]:
+        out.pop()
+    return out, df
+
+
+def _form_mul(a, b):
+    """The product of two integer forms."""
+    (f, df), (g, dg) = a, b
+    if len(f) < len(g):
+        f, g = g, f
+    if len(g) <= 1:
+        return ([c * g[0] for c in f] if g else []), df * dg
+    out = [0] * (len(f) + len(g) - 1)
+    for i, c in enumerate(g):
+        if c:
+            for j, d in enumerate(f):
+                out[i + j] += c * d
+    return out, df * dg
+
+
+def _form_pow(form, n):
+    """form**n, n >= 0.  The form is first put in lowest terms, which
+    _check_power's size bound assumes."""
+    ints, den = form
+    if den != 1:
+        k = igcd(den, *ints)
+        ints, den = [c // k for c in ints], den // k
+    result, base = ([1], 1), (ints, den)
+    while n:
+        if n & 1:
+            result = _form_mul(result, base)
+        n >>= 1
+        if n:
+            base = _form_mul(base, base)
+    return result
+
+
+def _as_ratfunc(value):
+    """A value of _evaluate_form as a RatFunc; a polynomial over 1 is
+    canonical as it stands."""
+    if type(value) is tuple:
+        num = Poly._from_zz(list(value[0]), value[1])
+        return RatFunc(num, 1, _canonical=True)
+    return value
+
+
+def _scalar_form(s: Scalar):
+    """A constant as _evaluate_form holds it."""
+    if s.tower is QQ:
+        q = s.val
+        return ([q.numerator] if q else []), q.denominator
+    return RatFunc.coerce(s)
+
+
+def _form_to_scalar(value):
+    """The constant a value of _evaluate_form holds, or None."""
+    if type(value) is not tuple:
+        return _ratfunc_to_scalar(value)
+    ints, den = value
+    if len(ints) > 1:
+        return None
+    return Scalar(QQ, Fraction(ints[0] if ints else 0, den))
 
 
 def _ratfunc_to_scalar(v: RatFunc):
@@ -313,22 +482,15 @@ def _param_env(params, coerce):
 def parse_ratfunc(src, var="x", params=None) -> RatFunc:
     """Evaluate the expression as a rational function of `var`, with
     the remaining symbols bound through `params`."""
-    env = _param_env(params, RatFunc.coerce)
-    env[var] = RatFunc(Poly.x())
-    return RatFunc.coerce(
-        _evaluate(parse(src), env, RatFunc.coerce, _ratfunc_to_scalar)
-    )
+    env = _param_env(params, _scalar_form)
+    env[var] = [0, 1], 1
+    return _as_ratfunc(_evaluate_form(parse(src), env))
 
 
 def parse_scalar(src, params=None) -> Scalar:
     """Evaluate a constant expression to an exact scalar."""
-    value = _evaluate(
-        parse(src),
-        _param_env(params, RatFunc.coerce),
-        RatFunc.coerce,
-        _ratfunc_to_scalar,
-    )
-    scalar = _ratfunc_to_scalar(RatFunc.coerce(value))
+    env = _param_env(params, _scalar_form)
+    scalar = _form_to_scalar(_evaluate_form(parse(src), env))
     if scalar is None:
         raise ParseError("expected a constant expression", 0)
     return scalar

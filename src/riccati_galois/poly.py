@@ -37,6 +37,10 @@ Results are reduced to the canonical form by Poly._from_zz.  Any tower
 coefficient sends the operation through the Scalar loops (_scalar_mul,
 _scalar_divmod, _euclid_gcd and the list comprehensions in the
 methods), which are also the reference the tests hold the kernel to.
+
+Printing (Poly.__str__) renders a rational polynomial from the values
+ints[k] / den of its integer form, as ints or Fractions, and builds no
+Scalar; only tower coefficients print through Scalars.
 """
 
 from fractions import Fraction
@@ -342,12 +346,18 @@ class Poly:
         return tuple(c.sort_key() for c in self.coeffs)
 
     def __str__(self):
-        if self.is_zero():
+        zz = _rational_coeffs(self)
+        if zz is None:
+            cs = self.coeffs
+        else:
+            ints, den = zz
+            cs = ints if den == 1 else [Fraction(c, den) for c in ints]
+        if not cs:
             return "0"
         parts = []
-        for k in range(self.degree(), -1, -1):
-            c = self.coeff(k)
-            if c.is_zero():
+        for k in range(len(cs) - 1, -1, -1):
+            c = cs[k]
+            if not c:
                 continue
             if k == 0:
                 term = _coeff_str(c)
@@ -372,13 +382,14 @@ class Poly:
         return "Poly(%s)" % self
 
 
-def _coeff_str(c: Scalar) -> str:
-    # 1/2*x reads as (1/2)*x under the usual left-to-right precedence,
-    # so only surd coefficients need parentheses
+def _coeff_str(c) -> str:
+    # an int or Fraction, or a Scalar; 1/2*x reads as (1/2)*x under the
+    # usual left-to-right precedence, so only surd coefficients need
+    # parentheses
     s = str(c)
-    if c.is_rational():
-        return s
-    return "(" + s + ")"
+    if isinstance(c, Scalar) and not c.is_rational():
+        return "(" + s + ")"
+    return s
 
 
 X = Poly.x()

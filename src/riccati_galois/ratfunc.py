@@ -24,9 +24,14 @@ a time, each the remainder of a synthetic division by x - c, and stop as
 soon as the valuation and the requested terms are known; for rational
 data and a rational c the divisions run on integers (_taylor) and the
 series division on Fractions, and Scalars are built for the result only.
+For rational data and c = (u + v sqrt(r))/w in a depth-1 tower, such as
+the surd poles of a rational denominator, the divisions run on pairs of
+ints meaning a + b sqrt(r) (_taylor_surd), and the first Scalars are the
+Taylor coefficients it yields.
 """
 
 from fractions import Fraction
+from math import lcm as ilcm
 
 from .poly import (
     Poly,
@@ -272,9 +277,13 @@ def _taylor(p: Poly, c: Scalar):
 
     With c = u/v, p = ints/den and n = deg p, B(z) = v^n den p(z/v) has
     integer coefficients and p(c + y) = B(u + v y) / (v^n den), so the
-    k-th coefficient is that of B at u over v^(n-k) den.
+    k-th coefficient is that of B at u over v^(n-k) den.  A point of a
+    depth-1 tower goes to _taylor_surd.
     """
     zz = _rational_coeffs(p)
+    if zz is not None and c.tower.depth == 1:
+        yield from _taylor_surd(zz, c)
+        return
     if zz is None or c.tower is not QQ:
         b, u, scale = list(p.coeffs), c, None
     else:
@@ -294,6 +303,40 @@ def _taylor(p: Poly, c: Scalar):
             yield Fraction(acc, scale)
             scale //= v
         b = q
+
+
+def _taylor_surd(zz, c: Scalar):
+    """_taylor of the integer form zz at c = (u + v sqrt(r))/w in a
+    depth-1 tower, whose radicand r is a square-free integer
+    (scalars._adjoin_sqrt_in).  The divisions of B(z) = w^n den p(z/w) by
+    z - (u + v sqrt(r)) run on two int lists, a + b sqrt(r); a Scalar is
+    built for each coefficient yielded only."""
+    tower = c.tower
+    lo, hi = c.val[0].val, c.val[1].val
+    r = tower.radicand.val.numerator
+    w = ilcm(lo.denominator, hi.denominator)
+    u, v = int(lo * w), int(hi * w)
+    vr = v * r
+    ints, den = zz
+    n = len(ints) - 1
+    a = [x * w ** (n - j) for j, x in enumerate(ints)]
+    b = [0] * len(a)
+    scale = den * w**n
+    while a:
+        ta, tb = a[-1], b[-1]
+        qa, qb = a[:-1], b[:-1]
+        for j in range(len(qa) - 1, -1, -1):
+            # (t_a + t_b sqrt(r)) <- q_j + (u + v sqrt(r)) (t_a + t_b sqrt(r))
+            ta, tb, qa[j], qb[j] = (
+                qa[j] + u * ta + vr * tb,
+                qb[j] + u * tb + v * ta,
+                ta,
+                tb,
+            )
+        low = Scalar(QQ, Fraction(ta, scale))
+        yield Scalar(tower, (low, Scalar(QQ, Fraction(tb, scale)))) if tb else low
+        scale //= w
+        a, b = qa, qb
 
 
 def _units(taylor, count):

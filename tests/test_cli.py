@@ -132,6 +132,44 @@ class TestExitCodes:
         assert out == ""
         assert "position 15" in err
 
+    @pytest.mark.parametrize("rho", ["1/(x-x)", "(x-x)^-1", "0^-1", "1/sqrt(0)"])
+    def test_division_by_zero_in_solve(self, capsys, rho):
+        code, out, err = run(capsys, "solve", "--rho", rho, "--no-timing")
+        assert code == 2
+        assert out == ""
+        assert "division by zero" in err
+
+    def test_division_by_zero_in_param(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--rho", "1/x", "--param", "a=1/(1-1)", "--no-timing"
+        )
+        assert code == 2
+        assert out == ""
+        assert "division by zero (at position 1)" in err
+
+    def test_division_by_zero_in_criteria(self, capsys):
+        code, out, err = run(
+            capsys,
+            "criteria",
+            "kimura",
+            "--l",
+            "1/(1-1)",
+            "--m",
+            "1",
+            "--n",
+            "1",
+            "--no-timing",
+        )
+        assert code == 2
+        assert out == ""
+        assert "division by zero" in err
+
+    def test_division_by_zero_in_darboux(self, capsys):
+        code, out, err = run(capsys, "darboux", "x; 1/(y-y)", "--no-timing")
+        assert code == 2
+        assert out == ""
+        assert "division by zero (at position 4)" in err
+
     def test_unsupported_tower(self, capsys):
         code, _, err = run(
             capsys,

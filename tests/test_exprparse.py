@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riccati_galois import exprparse, ratfunc as ratfunc_module
 from riccati_galois.bivar import BivarPoly
 from riccati_galois.exprparse import (
     MAX_EXPONENT,
@@ -16,7 +17,7 @@ from riccati_galois.exprparse import (
 )
 from riccati_galois.poly import Poly
 from riccati_galois.ratfunc import RatFunc
-from riccati_galois.scalars import Scalar
+from riccati_galois.scalars import Scalar, UnsupportedFieldError
 from riccati_galois.specialfn import WhittakerParams
 
 
@@ -296,3 +297,151 @@ class TestPowerSizeBound:
         with pytest.raises(ParseError) as err:
             parse_vectorfield("(x + y + 2^1000)^1000; 1")
         assert err.value.position == 16
+
+
+class TestDivisionByZero:
+    @pytest.mark.parametrize(
+        "src,position",
+        [
+            ("1/(x-x)", 1),
+            ("(x-x)^-1", 5),
+            ("0^-1", 1),
+            ("1/sqrt(0)", 1),
+            ("x + 2/(1/2 - 1/2)", 5),
+            ("(x^2 - x*x)^-3 + 1", 11),
+        ],
+    )
+    def test_ratfunc(self, src, position):
+        with pytest.raises(ParseError, match="division by zero") as err:
+            parse_ratfunc(src)
+        assert err.value.position == position
+
+    def test_scalar_and_param(self):
+        with pytest.raises(ParseError, match="division by zero") as err:
+            parse_scalar("1/(1-1)")
+        assert err.value.position == 1
+        with pytest.raises(ParseError, match="division by zero") as err:
+            parse_ratfunc("x/a", params={"a": 0})
+        assert err.value.position == 1
+
+    def test_vectorfield(self):
+        with pytest.raises(ParseError, match="division by zero") as err:
+            parse_vectorfield("x; 1/(y-y)")
+        assert err.value.position == 4
+        with pytest.raises(ParseError, match="division by zero") as err:
+            parse_vectorfield("(x-x)^-2; y")
+        assert err.value.position == 5
+
+
+# parameters for the route comparison: two rationals and two surds
+ROUTE_PARAMS = {
+    "a": F(1, 3),
+    "b": F(-5, 2),
+    "s": Scalar.coerce(2).sqrt(),
+    "t": Scalar.coerce(-3).sqrt(),
+}
+
+_constants = st.recursive(
+    st.sampled_from(["0", "1", "2", "3", "a", "b", "s", "sqrt(2)"]),
+    lambda kids: st.tuples(kids, st.sampled_from("+-*/"), kids).map(
+        lambda t: "(%s)%s(%s)" % t
+    ),
+    max_leaves=3,
+)
+_plain = st.sampled_from(
+    ["x"] * 8 + ["0", "1", "2", "7", "12", "a", "b", "s", "t", "z", "sqrt(x + 1)"]
+)
+# one leaf in ten is the square root of a constant expression
+_leaves = st.tuples(st.integers(min_value=0, max_value=9), _plain, _constants).map(
+    lambda t: "sqrt(%s)" % t[2] if t[0] == 0 else t[1]
+)
+
+
+def _render(op, left, right, exponent):
+    if op == "^":
+        return "(%s)^%d" % (left, exponent)
+    if op == "neg":
+        return "-(%s)" % left
+    return "(%s)%s(%s)" % (left, op, right)
+
+
+def _branches(kids):
+    ops = st.sampled_from(["+", "-", "*", "/", "+", "*", "/", "^", "neg"])
+    exponents = st.integers(min_value=-3, max_value=3)
+    return st.tuples(ops, kids, kids, exponents).map(lambda t: _render(*t))
+
+
+# ints, x, rational and surd params, an unbound symbol, sqrt of
+# constants and non-constants, + - * /, ^ with negative exponents and
+# nested quotients
+expression_texts = st.recursive(_leaves, _branches, max_leaves=8)
+
+
+def reference_ratfunc(src, params):
+    """parse_ratfunc as a RatFunc at every node: _evaluate over RatFunc."""
+    env = exprparse._param_env(params, RatFunc.coerce)
+    env["x"] = RatFunc.x()
+    value = exprparse._evaluate(
+        parse(src), env, RatFunc.coerce, exprparse._ratfunc_to_scalar
+    )
+    return RatFunc.coerce(value)
+
+
+def _outcome(route, src):
+    try:
+        value = route(src, ROUTE_PARAMS)
+    except ParseError as exc:
+        return "ParseError", exc.position, str(exc)
+    except UnsupportedFieldError:
+        return ("UnsupportedFieldError",)
+    return value, print_canonical(value)
+
+
+class TestIntegerFormRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(expression_texts)
+    def test_matches_ratfunc_per_node(self, src):
+        got = _outcome(lambda s, p: parse_ratfunc(s, params=p), src)
+        ref = _outcome(reference_ratfunc, src)
+        if isinstance(ref[0], RatFunc):
+            assert isinstance(got[0], RatFunc), (src, got)
+            assert got[0] == ref[0], src
+            assert got[1] == ref[1], src
+        else:
+            assert got == ref, src
+
+    def test_examples_match_ratfunc_per_node(self):
+        for src in (
+            "(1/4*x^2 + 1/4*x - 3/16)/(x^2)",
+            "(x - 1/2)^3 / (x^2 - 1/4) + a*x^-2",
+            "(s*x + 1)^2 / (2*x - 2/3) - t",
+            "((x/3 - 1/6)/(x - 1/2))^-2",
+            "sqrt(1/4)*x^0 + 0*x^5 - (2/4)^3",
+            "-(x^2 - x*x)",
+        ):
+            got = parse_ratfunc(src, params=ROUTE_PARAMS)
+            ref = reference_ratfunc(src, ROUTE_PARAMS)
+            assert got == ref and print_canonical(got) == print_canonical(ref)
+
+    def test_quotient_builds_no_scalar_and_one_canonical_form(self, monkeypatch):
+        src = "(-2/9*x^2 - 1099/1200*x - 35/16)/(x^4 + 6*x^3 + 9*x^2)"
+        want = reference_ratfunc(src, None)
+        built, canonical = [], []
+        init = Scalar.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        inner = ratfunc_module._rational_canonical
+
+        def counting_canonical(*args):
+            canonical.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(Scalar, "__init__", counting_init)
+        monkeypatch.setattr(ratfunc_module, "_rational_canonical", counting_canonical)
+        value = parse_ratfunc(src)
+        assert built == [] and len(canonical) == 1
+        monkeypatch.undo()
+        assert value == want

@@ -5,7 +5,7 @@ from math import gcd as igcd, isqrt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from riccati_galois import cli, poly as poly_module
+from riccati_galois import cli, poly as poly_module, ratfunc as ratfunc_module
 from riccati_galois.linalg import (
     det,
     nullspace,
@@ -612,6 +612,16 @@ def expansion_keys(expansion):
     return start, [c.key() for c in coeffs]
 
 
+# points (u + v sqrt(r))/w of a depth-1 tower, w > 1, v != 0
+surd_points = st.builds(
+    lambda u, v, w, r: (u + v * scalar_sqrt(r)) / w,
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=-4, max_value=4).filter(bool),
+    st.integers(min_value=2, max_value=6),
+    st.sampled_from([2, 3, 5, -1]),
+)
+
+
 class TestLocalExpansions:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -663,6 +673,78 @@ class TestLocalExpansions:
         assert coeffs[0] == SQRT2 / 4 and coeffs[1] == F(-1, 8)
         assert r.pole_order(SQRT2) == 1 and r.pole_order(-SQRT2) == 1
         assert RatFunc(1, (X - SQRT2) ** 2).pole_order(SQRT2) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fraction_polys,
+        fraction_polys,
+        surd_points,
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=1, max_value=7),
+        st.booleans(),
+    )
+    def test_surd_point_expansions_match_shift_reference(
+        self, num, den, c, k, j, count, conjugates
+    ):
+        # the planted factor is x - c, or with conjugates the rational
+        # (x - c)(x - c'), so that rational data meets the surd point
+        assume(not den.is_zero())
+        assert c.tower.depth == 1
+        lo, hi = c.val
+        if conjugates:
+            factor = X**2 - 2 * lo * X + (lo * lo - hi * hi * c.tower.radicand)
+            assert factor.is_rational_poly()
+        else:
+            factor = X - c
+        r = RatFunc(num * factor**k, den * factor**j)
+        assert expansion_keys(r.laurent_at(c, count)) == expansion_keys(
+            laurent_reference(r, c, count)
+        )
+        assert r.pole_order(c) == pole_order_reference(r, c)
+
+    def test_surd_point_examples(self):
+        # 1/(9x^2 - 6x - 1) has simple poles at (1 +- sqrt(2))/3
+        c = (1 + SQRT2) / 3
+        r = RatFunc(1, 9 * X**2 - 6 * X - 1)
+        start, coeffs = r.laurent_at(c, 3)
+        assert start == -1 and coeffs[0] == SQRT2 / 12
+        assert [k.key() for k in coeffs] == [
+            k.key() for k in laurent_reference(r, c, 3)[1]
+        ]
+        # a double pole at (1 + i)/2 and a numerator vanishing there
+        i = scalar_sqrt(-1)
+        c = (1 + i) / 2
+        quad = 2 * X**2 - 2 * X + 1
+        assert RatFunc(X, quad**2).pole_order(c) == 2
+        start, coeffs = RatFunc(quad, X**3 + 1).laurent_at(c, 4)
+        assert start == 1
+        ref = laurent_reference(RatFunc(quad, X**3 + 1), c, 4)
+        assert [k.key() for k in coeffs] == [k.key() for k in ref[1]]
+
+    def test_surd_point_divisions_make_no_scalar_arithmetic(self, monkeypatch):
+        # the Taylor divisions run on ints: Scalar arithmetic starts
+        # only in the series division that builds the result
+        c = (3 - 2 * scalar_sqrt(5)) / 4
+        den = (16 * X**2 - 24 * X - 11) ** 2 * (X - 1)
+        r = RatFunc(X**3 - F(1, 2), den)
+        want = laurent_reference(r, c, 3)
+        calls = count_scalar_arithmetic(monkeypatch)
+        entered = []
+        series_div = ratfunc_module._series_div
+
+        def checked(*args):
+            entered.append(list(calls))
+            return series_div(*args)
+
+        monkeypatch.setattr(ratfunc_module, "_series_div", checked)
+        assert r.pole_order(c) == 2
+        assert calls == []
+        start, coeffs = r.laurent_at(c, 3)
+        assert entered == [[]]
+        monkeypatch.undo()
+        assert start == -2
+        assert [k.key() for k in coeffs] == [k.key() for k in want[1]]
 
 
 class TestHermite:
@@ -731,6 +813,19 @@ def scalar_route():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(poly_module, "_rational_coeffs", lambda p: None)
         yield
+
+
+# coefficients for the printer: +-1 and 0 often, small fractions and
+# large denominators
+print_coeffs = st.one_of(
+    st.sampled_from([0, 1, -1, 0, 1, -1]),
+    small_fractions,
+    st.builds(
+        F,
+        st.integers(min_value=-(10**15), max_value=10**15),
+        st.integers(min_value=1, max_value=10**18),
+    ),
+)
 
 
 class TestRationalKernel:
@@ -836,6 +931,41 @@ class TestRationalKernel:
         g, qa, qb = gcd_cofactors(a, b)
         assert keys(g) == keys(gcd(a, b))
         assert qa * g == a and qb * g == b
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(print_coeffs, min_size=0, max_size=6).map(Poly),
+        st.lists(print_coeffs, min_size=1, max_size=4).map(Poly),
+    )
+    def test_str_matches_scalar_route(self, p, q):
+        # a RatFunc prints its numerator and denominator, with parentheses
+        values = [p, q, -p]
+        if not q.is_zero():
+            values.append(RatFunc(p, q))
+        if not p.is_zero():
+            values.append(RatFunc(q, p))
+        got = [str(v) for v in values]
+        with scalar_route():
+            ref = [str(v) for v in values]
+        assert got == ref
+
+    @pytest.mark.parametrize(
+        "coeffs,text",
+        [
+            ([], "0"),
+            ([0, 1], "x"),
+            ([0, -1], "-x"),
+            ([1, 0, -1], "-x^2 + 1"),
+            ([0, F(-1, 3), 0, 1], "x^3 - 1/3*x"),
+            ([F(1, 10**20), 0, -2], "-2*x^2 + 1/100000000000000000000"),
+            ([F(-7, 2)], "-7/2"),
+        ],
+    )
+    def test_str_examples(self, coeffs, text):
+        p = Poly(coeffs)
+        assert str(p) == text
+        with scalar_route():
+            assert str(p) == text
 
     def test_canonical_form_examples(self):
         # negative leading coefficients and fractional contents on both
