@@ -54,6 +54,8 @@ MAX_POWER_BITS = 10**7
 # -- tokenizer -------------------------------------------------------------
 
 _OPERATORS = set("+-*/^();")
+# ASCII only: str.isdigit also holds for superscripts and other scripts
+_DIGITS = set("0123456789")
 
 
 def _tokenize(src):
@@ -64,9 +66,9 @@ def _tokenize(src):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j] in _DIGITS:
                 j += 1
             tokens.append(("int", int(src[i:j]), i))
             i = j

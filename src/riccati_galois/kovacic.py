@@ -25,30 +25,28 @@ has failed, the answer is Case 4.  A rational N = sqrt(1 + 4b) has
 projective order its denominator, and Case 3 tries only the n whose
 groups have every order (_case3_degrees).  Both rules skip only
 searches that cannot succeed.  A builder sets up (omega's denominator
-and shares, the pole product, the cleared operator) only for a first
+and shares and the cleared operator, or _chain_setup) only for a first
 surviving candidate.
 
-Each builder forms its operator once per candidate, as polynomial
+Case 1 forms its operator once per candidate, as polynomial
 coefficients a_k over one cleared denominator, so that the image of x^j
 is sum_k a_k j (j-1) ... (j-k+1) x^(j-k) (_images) and no RatFunc, gcd
-or lcm is needed before the system is solved:
-  case 1: times B^2 M, for omega = A/B and r = N/M (_Case1Operator);
-    A sums one share per point, and RatFunc(A, B) is built only for a
-    consistent candidate;
-  case 2: times S M^2, S the product of x - c over the poles, which
-    divides M (_Case2Operator); theta is built only for a consistent
-    candidate;
-  case 3: S theta is a sum of e_c n/12 S/(x - c), and Kovacic's P_i
-    recursion runs on integer lists (_case3_chain), for the images and
-    the certificate.
+or lcm is needed before the system is solved: times B^2 M, for
+omega = A/B and r = N/M (_Case1Operator); A sums one share per point,
+and RatFunc(A, B) is built only for a consistent candidate.  Cases 2
+and 3 are one recursion with parameter n = 2 or 4, 6, 12 (Ulmer &
+Weil 1996): Kovacic's P_i chain, scaled by L = prod (x - c)^ceil(o/2)
+over the poles, runs on integer lists (_kovacic_chain) for the images
+and the certificate, and one builder serves both (_chain_build).
 _monic_poly_solution solves integer rows by fraction-free elimination
 (linalg.solve_fraction_free); rows with tower coefficients keep
 linalg.solve.  A nonzero polynomial factor keeps the solution set, and
 both solvers set free variables to zero, so each candidate gets the P
 it got from the uncleared operator.
 
-Every positive answer carries an exact certificate and is re-verified
-symbolically before being returned:
+Every positive answer carries an exact certificate, checked once by
+its builder; a consistent candidate system implies the identity, so a
+failed check is a fault and raises reports.VerificationError:
   case 1: P'' + 2 omega P' + (omega' + omega^2 - r) P = 0, as the
   polynomial identity it is times B^2 M (verify_case1)
   cases 2, 3: the defining polynomial F(omega) is checked to be closed
@@ -65,6 +63,7 @@ from .linalg import solve, solve_fraction_free
 from .odeforms import ReducedODE
 from .poly import Poly, _rational_coeffs
 from .ratfunc import RatFunc
+from .reports import VerificationError
 from .scalars import QQ, Scalar
 
 INFINITY = "infinity"
@@ -480,6 +479,8 @@ def _surds_cancel(surds, choice):
 
 
 def case1(r: RatFunc, poles=None, roots=None):
+    """Kovacic's Case 1: a Case1Result, or None.  Raises
+    VerificationError if a found answer fails verify_case1."""
     r = RatFunc.coerce(r)
     root_inf = None if roots is None else roots[-1]
     data_inf = classify_point_case1(r, INFINITY, root=root_inf)
@@ -540,9 +541,9 @@ def case1(r: RatFunc, poles=None, roots=None):
         if p is None:
             return None
         omega = RatFunc(a, b)
-        if verify_case1(r, omega, p):
-            return Case1Result(omega, p, m)
-        return None
+        if not verify_case1(r, omega, p):
+            raise VerificationError("case-1 identity failed")
+        return Case1Result(omega, p, m)
 
     # a choice picks, per point, the index of its sign
     alphas = [[d.alpha(sg) for sg in sgs] for d, sgs in zip(points, signs)]
@@ -616,70 +617,73 @@ def _exponent_sets(r: RatFunc, poles, roots, center, ns):
         yield sets
 
 
-def _pole_product(poles):
-    """S = prod (x - c) over the poles, and S / (x - c) for each."""
+def _chain_setup(r: RatFunc, poles):
+    """L = prod (x - c)^ceil(o_c / 2) over the poles of orders o_c, the
+    cofactors L / (x - c), and L^2 r: a polynomial, as M divides L^2 for
+    r = N/M, taken with no gcd."""
     lins = [Poly([-c, 1]) for c, _ in poles]
-    s_poly = Poly([1])
-    for lin in lins:
-        s_poly = s_poly * lin
-    return s_poly, [s_poly.exact_div(lin) for lin in lins]
+    l_poly = Poly([1])
+    for lin, (_, order) in zip(lins, poles):
+        l_poly = l_poly * lin ** ((order + 1) // 2)
+    l2r = (l_poly * l_poly).exact_div(r.den) * r.num
+    return l_poly, [l_poly.exact_div(lin) for lin in lins], l2r
 
 
-def _s_theta(cofactors, exponents, scale):
-    """S theta for theta = sum scale e_c / (x - c) over the poles, with
-    S / (x - c) in cofactors (_pole_product)."""
+def _l_theta(cofactors, exponents, scale):
+    """L theta for theta = sum scale e_c / (x - c) over the poles, with
+    L / (x - c) in cofactors (_chain_setup)."""
     acc = Poly([])
     for f, e_c in zip(cofactors, exponents):
         acc = acc + f.scale(e_c * scale)
     return acc
 
 
-class _Case2Operator:
-    """S M^2 times Kovacic's Case 2 operator
-        D^3 + 3 theta D^2 + coef1 D + coef0,
-        coef1 = 3 theta' + 3 theta^2 - 4 r,
-        coef0 = theta'' + 3 theta theta' + theta^3 - 4 r theta - 2 r',
-    for theta = T/S, S the product of x - c over the poles, and r = N/M.
-    S divides M = S K, so with U = T' S - T S' (theta' = U / S^2) it is
-    a3 D^3 + a2 D^2 + a1 D + a0 with
-        a3 = S M^2,  a2 = 3 T M^2,  a1 = 3 (U + T^2) M K - 4 N S M,
-        a0 = ((T'' S - T S'') S + (3 T - 2 S') U + T^3) K^2 - 4 N T M
-             - 2 S (N' M - N M').
-    Built once per equation; coeffs(T) is [a0, a1, a2, a3]."""
-
-    __slots__ = (
-        "s", "s1", "s2", "n", "m", "mk", "k2", "m2", "a3", "a1_r", "a0_r"
-    )
-
-    def __init__(self, s_poly, r):
-        n, m = r.num, r.den
-        k = m.exact_div(s_poly)
-        self.s, self.s1 = s_poly, s_poly.derivative()
-        self.s2 = self.s1.derivative()
-        self.n, self.m = n, m
-        self.mk, self.k2, self.m2 = m * k, k * k, m * m
-        self.a3 = s_poly * self.m2
-        self.a1_r = (n * s_poly * m).scale(-4)
-        rp = n.derivative() * m - n * m.derivative()  # r' = rp / M^2
-        self.a0_r = (s_poly * rp).scale(-2)
-
-    def coeffs(self, t):
-        s, s1 = self.s, self.s1
-        t1 = t.derivative()
-        u = t1 * s - t * s1
-        w = (t1.derivative() * s - t * self.s2) * s
-        w = w + (t.scale(3) - s1.scale(2)) * u + t * t * t
-        return [
-            w * self.k2 - (self.n * t * self.m).scale(4) + self.a0_r,
-            (u + t * t).scale(3) * self.mk + self.a1_r,
-            t.scale(3) * self.m2,
-            self.a3,
-        ]
+def _chain_build(r: RatFunc, setup, n, scale, choice, m):
+    """The candidate builder of Cases 2 (n = 2) and 3: for the exponents
+    in choice, theta = sum scale e_c / (x - c), the monic P of degree m
+    with P_{-1} = 0 (_kovacic_chain), or None.  The certificate is
+    omega_poly, sum_i L^i P_i / (n - i)! omega^i, and for Case 2 its
+    monic form, the quadratic omega^2 - phi omega + (phi' + phi^2 - 2 r)/2
+    with phi = theta + P'/P.  setup() is _chain_setup(r, poles); a
+    failed check raises VerificationError."""
+    l_poly, cofactors, l2r = setup()
+    l_theta = _l_theta(cofactors, choice[:-1], scale)
+    d, (s, t, r2) = _integer_lists(l_poly, l_theta, l2r)
+    images = [
+        _kovacic_chain([0] * j + [1], s, t, r2, d, n)[0]
+        for j in range(m + 1)
+    ]
+    p = _monic_poly_solution(images)
+    if p is None:
+        return None
+    q_den, (q,) = _integer_lists(p)
+    chain = _kovacic_chain(q, s, t, r2, d, n)
+    # chain[i + 1] = q_den d^(n-i) P_i
+    omega_poly = [
+        RatFunc(
+            l_poly**i * Poly(chain[i + 1]),
+            Poly([q_den * d ** (n - i) * factorial(n - i)]),
+        )
+        for i in range(n + 1)
+    ]
+    theta = RatFunc(l_theta, l_poly)
+    if n == 2:
+        quadratic = tuple(c / omega_poly[2] for c in omega_poly)
+        res = Case2Result(theta, p, m, -quadratic[1], quadratic)
+        certificate = quadratic
+    else:
+        res = Case3Result(n, theta, l_poly, p, m, omega_poly)
+        certificate = omega_poly
+    if not verify_algebraic_riccati(r, certificate):
+        raise VerificationError("case-%d certificate failed" % res.case)
+    return res
 
 
 def case2(r: RatFunc, poles=None, roots=None):
-    """Kovacic's Case 2, for an r whose Case 1 has failed.  A simple pole
-    is a logarithmic point, which D-infinity rules out: None at once."""
+    """Kovacic's Case 2, for an r whose Case 1 has failed: a Case2Result,
+    or None.  A simple pole is a logarithmic point, which D-infinity
+    rules out: None at once.  Raises VerificationError if a found
+    answer fails its check."""
     r = RatFunc.coerce(r)
     if poles is None:
         poles = r.poles()
@@ -689,26 +693,8 @@ def case2(r: RatFunc, poles=None, roots=None):
         roots = _order2_roots(r, poles)
     # Kovacic's E_c: {2, 2 +- 2 sqrt(1 + 4b)}, m = (e_inf - sum e_c) / 2
     sets = next(_exponent_sets(r, poles, roots, 2, [2]))
-
-    @cache
-    def setup():
-        s_poly, cofactors = _pole_product(poles)
-        return s_poly, cofactors, _Case2Operator(s_poly, r)
-
-    def build(choice, m):
-        s_poly, cofactors, op = setup()
-        t = _s_theta(cofactors, choice[:-1], Fraction(1, 2))
-        p = _monic_poly_solution(_images(op.coeffs(t), m))
-        if p is None:
-            return None
-        theta = RatFunc(t, s_poly)
-        phi = theta + RatFunc.coerce(p.derivative()) / RatFunc.coerce(p)
-        n0 = (phi.derivative() + phi * phi - 2 * r) / 2
-        quadratic = (n0, -phi, RatFunc.coerce(1))
-        if verify_algebraic_riccati(r, quadratic):
-            return Case2Result(theta, p, m, phi, quadratic)
-        return None
-
+    setup = cache(partial(_chain_setup, r, poles))
+    build = partial(_chain_build, r, setup, 2, Fraction(1, 2))
     return _search(sets, sets, Fraction(1, 2), build)
 
 
@@ -735,8 +721,10 @@ def _case3_degrees(roots):
 
 def case3(r: RatFunc, poles=None, roots=None):
     """Kovacic's Case 3, for an r whose Cases 1 and 2 have failed, at
-    each n that _case3_degrees allows.  Poles of order 2 only (a simple
-    pole is logarithmic) and order >= 2 at infinity, else None at once."""
+    each n that _case3_degrees allows: a Case3Result, or None.  Poles of
+    order 2 only (a simple pole is logarithmic), where L = S, the product
+    of x - c, and order >= 2 at infinity, else None at once.  Raises
+    VerificationError if a found answer fails its check."""
     r = RatFunc.coerce(r)
     if poles is None:
         poles = r.poles()
@@ -746,44 +734,13 @@ def case3(r: RatFunc, poles=None, roots=None):
         return None
     if roots is None:
         roots = _order2_roots(r, poles)
-
-    @cache
-    def setup():
-        s_poly, cofactors = _pole_product(poles)
-        s2r = (RatFunc.coerce(s_poly) ** 2 * r).as_poly()
-        return s_poly, cofactors, s2r
-
-    def build(choice, m, n):
-        s_poly, cofactors, s2r = setup()
-        s_theta = _s_theta(cofactors, choice[:-1], Fraction(n, 12))
-        d, (s, t, r2) = _integer_lists(s_poly, s_theta, s2r)
-        images = [
-            _case3_chain([0] * j + [1], s, t, r2, d, n)[0]
-            for j in range(m + 1)
-        ]
-        p = _monic_poly_solution(images)
-        if p is None:
-            return None
-        q_den, (q,) = _integer_lists(p)
-        chain = _case3_chain(q, s, t, r2, d, n)
-        # chain[i + 1] = q_den d^(n-i) P_i, and omega_poly[i] is
-        # S^i P_i / (n - i)!
-        omega_poly = [
-            RatFunc(
-                s_poly**i * Poly(chain[i + 1]),
-                Poly([q_den * d ** (n - i) * factorial(n - i)]),
-            )
-            for i in range(n + 1)
-        ]
-        if verify_algebraic_riccati(r, omega_poly):
-            theta = RatFunc(s_theta, s_poly)
-            return Case3Result(n, theta, s_poly, p, m, omega_poly)
-        return None
-
+    setup = cache(partial(_chain_setup, r, poles))
     # Kovacic's E_c: 6 + (12 k / n) sqrt(1 + 4b), |k| <= n/2
     ns = _case3_degrees(roots)
     for n, sets in zip(ns, _exponent_sets(r, poles, roots, 6, ns)):
-        res = _search(sets, sets, Fraction(n, 12), partial(build, n=n))
+        scale = Fraction(n, 12)
+        build = partial(_chain_build, r, setup, n, scale)
+        res = _search(sets, sets, scale, build)
         if res is not None:
             return res
     return None
@@ -800,13 +757,16 @@ def _integer_lists(*polys):
     return d, [[c * (d // den) for c in ints] for ints, den in forms]
 
 
-def _case3_chain(q, s, t, r2, d, n):
+def _kovacic_chain(q, s, t, r2, d, n):
     """[Q_{-1}, Q_0, ..., Q_n], Q_i = d^(n-i) P_i, for Kovacic's
     downward recursion P_n = -P,
-        P_{i-1} = -S P_i' + ((n-i) S' - S theta) P_i
-                  - (n-i)(i+1) S^2 r P_{i+1},
-    run on coefficient lists (ints, or Scalars when irrational) with
-    s = d S, t = d S theta, r2 = d S^2 r and q the list of P:
+        P_{i-1} = -L P_i' + ((n-i) L' - L theta) P_i
+                  - (n-i)(i+1) L^2 r P_{i+1},
+    L^(n-i+1) times the recursion with L = 1, whose P_{-1} at n = 2 is
+    Case 2's P''' + 3 theta P'' + (3 theta' + 3 theta^2 - 4 r) P'
+    + (theta'' + 3 theta theta' + theta^3 - 4 r theta - 2 r') P.  It runs
+    on coefficient lists (ints, or Scalars when irrational) with s = d L,
+    t = d L theta, r2 = d L^2 r and q the list of P:
         Q_{i-1} = -s Q_i' + ((n-i) s' - t) Q_i - (n-i)(i+1) d r2 Q_{i+1}.
     """
     s1 = [k * c for k, c in enumerate(s)][1:]

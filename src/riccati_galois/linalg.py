@@ -12,22 +12,18 @@ from fractions import Fraction
 from .scalars import Scalar
 
 
-def _coerce_matrix(m):
-    return [[Scalar.coerce(x) for x in row] for row in m]
-
-
 def row_echelon(m, rhs=None):
     """Reduce m (in place after copying) to row echelon form.
 
-    Returns (rows, rhs_rows, pivot_cols).  rhs may be a vector; it gets
-    the same row operations applied.
+    Returns (rows, rhs_rows, pivot_cols, swaps), swaps the number of row
+    swaps.  rhs may be a vector; it gets the same row operations applied.
     """
-    m = _coerce_matrix(m)
+    m = [[Scalar.coerce(x) for x in row] for row in m]
     t = [Scalar.coerce(x) for x in rhs] if rhs is not None else None
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
     pivot_cols = []
-    piv_r = 0
+    piv_r = swaps = 0
     for piv_c in range(n_cols):
         for i_row in range(piv_r, n_rows):
             if not m[i_row][piv_c].is_zero():
@@ -35,6 +31,7 @@ def row_echelon(m, rhs=None):
         else:
             continue
         if i_row != piv_r:
+            swaps += 1
             m[piv_r], m[i_row] = m[i_row], m[piv_r]
             if t is not None:
                 t[piv_r], t[i_row] = t[i_row], t[piv_r]
@@ -50,7 +47,7 @@ def row_echelon(m, rhs=None):
                 t[r] = t[r] - t[piv_r] * frp
         pivot_cols.append(piv_c)
         piv_r += 1
-    return m, t, pivot_cols
+    return m, t, pivot_cols, swaps
 
 
 def solve(m, rhs):
@@ -58,7 +55,7 @@ def solve(m, rhs):
 
     Free variables are set to zero, which makes the answer deterministic.
     """
-    m, t, pivot_cols = row_echelon(m, rhs)
+    m, t, pivot_cols, _ = row_echelon(m, rhs)
     n_cols = len(m[0]) if m else 0
     rank = len(pivot_cols)
     for r in range(rank, len(m)):
@@ -129,7 +126,7 @@ def nullspace(m):
     Each basis vector has a single free variable set to 1, in ascending
     column order, so the basis is canonical.
     """
-    m, _, pivot_cols = row_echelon(m)
+    m, _, pivot_cols, _ = row_echelon(m)
     n_cols = len(m[0]) if m else 0
     free_cols = [c for c in range(n_cols) if c not in pivot_cols]
     basis = []
@@ -147,29 +144,15 @@ def nullspace(m):
 
 
 def det(m):
-    """Determinant by elimination with row-swap sign tracking."""
-    m = _coerce_matrix(m)
+    """Determinant: the product of row_echelon's pivots, negated once
+    per row swap."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")
-    sign = 1
+    rows, _, pivot_cols, swaps = row_echelon(m)
+    if len(pivot_cols) < n:
+        return Scalar.coerce(0)
     acc = Scalar.coerce(1)
-    for col in range(n):
-        for i_row in range(col, n):
-            if not m[i_row][col].is_zero():
-                break
-        else:
-            return Scalar.coerce(0)
-        if i_row != col:
-            m[col], m[i_row] = m[i_row], m[col]
-            sign = -sign
-        fp = m[col][col]
-        acc = acc * fp
-        for r in range(col + 1, n):
-            fr = m[r][col]
-            if fr.is_zero():
-                continue
-            frp = fr / fp
-            for c in range(col, n):
-                m[r][c] = m[r][c] - m[col][c] * frp
-    return acc if sign == 1 else -acc
+    for i, row in enumerate(rows):
+        acc = acc * row[i]
+    return -acc if swaps % 2 else acc

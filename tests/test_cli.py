@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from riccati_galois import cli, exprparse, scalars
+from riccati_galois import cli, exprparse, kovacic, scalars
 from riccati_galois.poly import InexactDivision, Poly
 from riccati_galois.reports import SCHEMA, Report, render_text, to_json
 
@@ -231,10 +231,37 @@ class TestExitCodes:
         assert code == 3
 
     def test_verification_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "verify_case1", lambda *a: False)
-        code, _, err = run(capsys, "solve", "--rho", "x^2-1", "--no-timing")
+        monkeypatch.setattr(kovacic, "verify_case1", lambda *a: False)
+        code, out, err = run(capsys, "solve", "--rho", "x^2-1", "--no-timing")
         assert code == 4
+        assert out == ""
         assert "verification" in err
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            "1/x - 3/(16*x^2)",  # Case 2
+            "(-2/9*x^2 + 3/16*x - 3/16)/(x^4 - 2*x^3 + x^2)",  # Case 3
+        ],
+    )
+    def test_algebraic_verification_failure(self, capsys, monkeypatch, rho):
+        # a failed certificate check is a fault, not a reason to go on
+        # searching (which would end in Case 4)
+        monkeypatch.setattr(
+            kovacic, "verify_algebraic_riccati", lambda *a: False
+        )
+        code, out, err = run(capsys, "solve", "--rho", rho, "--no-timing")
+        assert code == 4
+        assert out == ""
+        assert "verification" in err
+
+    @pytest.mark.parametrize("rho", ["x^\u00b2", "x^\u0663"])
+    def test_non_ascii_digit_is_a_syntax_error(self, capsys, rho):
+        # a superscript two and an Arabic-Indic three are not numbers
+        code, out, err = run(capsys, "solve", "--rho", rho, "--no-timing")
+        assert code == 2
+        assert out == ""
+        assert "syntax error" in err
 
     def test_internal_fault_is_not_unsupported(self, capsys, monkeypatch):
         # a division that leaves a remainder is a broken invariant of the

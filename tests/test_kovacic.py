@@ -16,10 +16,10 @@ from riccati_galois.exprparse import parse_ratfunc
 from riccati_galois.kovacic import (
     INFINITY,
     Case4Result,
-    _case3_chain,
     _case3_degrees,
     _frobenius_log,
     _integer_lists,
+    _kovacic_chain,
     _logarithmic,
     _order2_root,
     _order2_roots,
@@ -318,6 +318,25 @@ def test_pinned_certificates(row):
     assert out.getvalue() == row["stdout"]
 
 
+@pytest.mark.parametrize("row", PINNED, ids=[r["rho"] for r in PINNED])
+def test_one_check_per_answer(row):
+    # a positive answer is checked once, by the builder that found it;
+    # Case 4 has no certificate to check
+    checks = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("verify_case1", "verify_algebraic_riccati"):
+            def counting(*args, _real=getattr(kovacic, name), _name=name):
+                checks.append(_name)
+                return _real(*args)
+
+            mp.setattr(kovacic, name, counting)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["solve", "--rho=" + row["rho"], "--json"]) == 0
+    case = json.loads(out.getvalue())["verdict"]["case"]
+    assert len(checks) == (0 if case == 4 else 1)
+
+
 def mobius_pullback(rho, a=2, b=1, c=1, d=3):
     """rho(x(t)) (ad - bc)^2 / (ct + d)^4 for x = (at + b)/(ct + d).
 
@@ -483,7 +502,7 @@ class TestCase3Chain:
         d, (s, t, r2_ints) = _integer_lists(s_poly, s_theta, s2r)
         assert all(isinstance(c, int) for c in s + t + r2_ints)
         q, q_den = p._integer_form()
-        chain = _case3_chain(q, s, t, r2_ints, d, n)
+        chain = _kovacic_chain(q, s, t, r2_ints, d, n)
         seq = case3_sequence_reference(p, s_poly, s_theta, s2r, n)
         assert len(chain) == len(seq) == n + 2
         for i in range(-1, n + 1):
@@ -498,9 +517,23 @@ class TestCase3Chain:
         p = Poly([SQRT2, F(1, 2), 1])
         d, lists = _integer_lists(s_poly, s_theta, s2r)
         assert d == 1
-        chain = _case3_chain(p.coeffs, *lists, d, n)
+        chain = _kovacic_chain(p.coeffs, *lists, d, n)
         seq = case3_sequence_reference(p, s_poly, s_theta, s2r, n)
         assert [Poly(q) for q in chain] == seq
+
+    def test_setup_is_the_pole_product_at_order_two(self):
+        # every pole of order 2, as Case 3 requires: L = S = prod (x - c),
+        # so its images are those of Kovacic's S-scaled recursion
+        r = parse_ratfunc(
+            "-3/(16*x^2) - 2/(9*(x - 1)^2) + 1/(x^2 - 2)^2 + 1/(x*(x - 1))"
+        )
+        poles = r.poles()
+        assert sorted(o for _, o in poles) == [2, 2, 2, 2]
+        l_poly, cofactors, l2r = kovacic._chain_setup(r, poles)
+        s_poly = X * (X - 1) * (X**2 - 2)
+        assert l_poly == s_poly
+        assert cofactors == [s_poly.exact_div(Poly([-c, 1])) for c, _ in poles]
+        assert l2r == (rf(s_poly) ** 2 * r).as_poly()
 
 
 def test_search_makes_no_scalar_arithmetic():
@@ -673,6 +706,18 @@ def case2_instances(draw):
     return r, poles, exponents, draw(st.integers(0, 3))
 
 
+def chain_images(r, poles, exponents, m):
+    """Images of x^0..x^m under Case 2's P_{-1} map (n = 2, theta = sum
+    e_c / (2 (x - c))), from _chain_setup and _kovacic_chain."""
+    l_poly, cofactors, l2r = kovacic._chain_setup(r, poles)
+    l_theta = kovacic._l_theta(cofactors, exponents, F(1, 2))
+    d, (s, t, r2) = _integer_lists(l_poly, l_theta, l2r)
+    return [
+        _kovacic_chain([0] * j + [1], s, t, r2, d, 2)[0]
+        for j in range(m + 1)
+    ]
+
+
 class TestClearedOperators:
     @settings(max_examples=60, deadline=None)
     @given(case1_instances())
@@ -689,10 +734,8 @@ class TestClearedOperators:
     @given(case2_instances())
     def test_case2_matches_ratfunc_operator(self, instance):
         r, poles, exponents, m = instance
-        s_poly, cofactors = kovacic._pole_product(poles)
-        t = kovacic._s_theta(cofactors, exponents, F(1, 2))
-        ops = kovacic._Case2Operator(s_poly, r).coeffs(t)
-        got = kovacic._monic_poly_solution(kovacic._images(ops, m))
+        images = chain_images(r, poles, exponents, m)
+        got = kovacic._monic_poly_solution(images)
         theta = theta_reference(poles, exponents, F(1, 2))
         assert got == case2_reference(r, theta, m)
 
@@ -711,15 +754,11 @@ class TestClearedOperators:
         poles = r.poles()
         roots = kovacic._order2_roots(r, poles)
         sets = next(kovacic._exponent_sets(r, poles, roots, 2, [2]))
-        s_poly, cofactors = kovacic._pole_product(poles)
-        op = kovacic._Case2Operator(s_poly, r)
         found = []
 
         def check(choice, m):
-            t = kovacic._s_theta(cofactors, choice[:-1], F(1, 2))
-            got = kovacic._monic_poly_solution(
-                kovacic._images(op.coeffs(t), m)
-            )
+            images = chain_images(r, poles, choice[:-1], m)
+            got = kovacic._monic_poly_solution(images)
             theta = theta_reference(poles, choice[:-1], F(1, 2))
             assert got == case2_reference(r, theta, m)
             found.append(got is not None)
@@ -1061,7 +1100,7 @@ def test_case3_searches_only_degrees_its_group_can_have(triple, scales, n):
 def counted_setup(mp):
     """Patch the Case 1-3 setup steps to log their names; the log."""
     made = []
-    for name in ("_Case1Operator", "_Case2Operator", "_pole_product"):
+    for name in ("_Case1Operator", "_chain_setup"):
         def counting(*args, _real=getattr(kovacic, name), _name=name):
             made.append(_name)
             return _real(*args)
@@ -1094,7 +1133,7 @@ def test_setup_waits_for_a_surviving_candidate():
         # (1/3, 1/4, 2) potential builds 63 of them in Case 3 (n = 6, 12)
         r = parse_ratfunc(PINNED[-1]["rho"])
         assert case3(r) is None
-        assert len(builds) == 63 and made == ["_pole_product"]
+        assert len(builds) == 63 and made == ["_chain_setup"]
 
 
 def test_simple_pole_ends_cases_2_and_3_at_once():
