@@ -24,25 +24,22 @@ element, which neither D-infinity nor a finite group has: once Case 1
 has failed, the answer is Case 4.  A rational N = sqrt(1 + 4b) has
 projective order its denominator, and Case 3 tries only the n whose
 groups have every order (_case3_degrees).  Both rules skip only
-searches that cannot succeed.  A builder sets up (omega's denominator
-and shares and the cleared operator, or _chain_setup) only for a first
-surviving candidate.
+searches that cannot succeed.  Setup (_chain_setup, and Case 1's
+shares) waits for a first surviving candidate.
 
-Case 1 forms its operator once per candidate, as polynomial
-coefficients a_k over one cleared denominator, so that the image of x^j
-is sum_k a_k j (j-1) ... (j-k+1) x^(j-k) (_images) and no RatFunc, gcd
-or lcm is needed before the system is solved: times B^2 M, for
-omega = A/B and r = N/M (_Case1Operator); A sums one share per point,
-and RatFunc(A, B) is built only for a consistent candidate.  Cases 2
-and 3 are one recursion with parameter n = 2 or 4, 6, 12 (Ulmer &
-Weil 1996): Kovacic's P_i chain, scaled by L = prod (x - c)^ceil(o/2)
-over the poles, runs on integer lists (_kovacic_chain) for the images
-and the certificate, and one builder serves both (_chain_build).
-_monic_poly_solution solves integer rows by fraction-free elimination
-(linalg.solve_fraction_free); rows with tower coefficients keep
-linalg.solve.  A nonzero polynomial factor keeps the solution set, and
-both solvers set free variables to zero, so each candidate gets the P
-it got from the uncleared operator.
+Cases 1-3 are one recursion with parameter n (Ulmer & Weil 1996):
+Kovacic's P_i chain, n = 1 for Case 1, 2 for Case 2 and 4, 6, 12 for
+Case 3, scaled by L = prod (x - c)^ceil(o/2) over the poles, runs on
+integer lists (_kovacic_chain) for the images of x^j and, in Cases 2
+and 3, for the certificate.  L and L^2 r are made once per equation
+(_chain_setup), and one builder serves every case (_chain_build).  At
+n = 1, P_{-1} is minus Case 1's operator for theta = omega = A/L, with
+A the sum of one share per point, so no RatFunc, gcd or lcm is needed
+before the system is solved.  _monic_poly_solution solves integer rows
+by fraction-free elimination (linalg.solve_fraction_free); rows with
+tower coefficients keep linalg.solve.  A nonzero polynomial factor
+keeps the solution set, and both solvers set free variables to zero,
+so each candidate gets the P it got from the uncleared operator.
 
 Every positive answer carries an exact certificate, checked once by
 its builder; a consistent candidate system implies the identity, so a
@@ -360,55 +357,18 @@ def _monic_poly_solution(images):
     return Poly(list(sol) + [1])
 
 
-def _images(ops, m):
-    """Coefficient lists of L(x^j), j = 0..m, for L = sum_k ops[k] D^k
-    with polynomial ops[k]:
-        L(x^j) = sum_k j (j-1) ... (j-k+1) ops[k] x^(j-k).
-    Rational ops are scaled to integer lists over one denominator."""
-    _, lists = _integer_lists(*ops)
-    width = max(len(a) for a in lists)
-    images = []
-    for j in range(m + 1):
-        out = [0] * (j + width)
-        falling = 1  # j (j-1) ... (j-k+1)
-        for k, a in enumerate(lists):
-            if k:
-                falling *= j - k + 1
-            if not falling:
-                break
-            for i, c in enumerate(a, j - k):
-                out[i] += falling * c
-        images.append(out)
-    return images
-
-
-class _Case1Operator:
-    """B^2 M times P -> P'' + 2 omega P' + (omega' + omega^2 - r) P for
-    omega = A/B and r = N/M: a2 D^2 + a1 D + a0 with
-        a2 = B^2 M,  a1 = 2 A B M,  a0 = M (A' B - A B' + A^2) - B^2 N.
-    Built once per B and r; coeffs(A) is [a0, a1, a2]."""
-
-    __slots__ = ("b", "b1", "m", "bm2", "b2m", "b2n")
-
-    def __init__(self, b, r):
-        bm = b * r.den
-        self.b, self.b1, self.m = b, b.derivative(), r.den
-        self.bm2, self.b2m, self.b2n = bm.scale(2), b * bm, b * b * r.num
-
-    def coeffs(self, a):
-        b = self.b
-        a0 = self.m * (a.derivative() * b - a * self.b1 + a * a) - self.b2n
-        return [a0, a * self.bm2, self.b2m]
-
-
 def verify_case1(r: RatFunc, omega: RatFunc, p: Poly) -> bool:
     """Exact check of P'' + 2 omega P' + (omega' + omega^2 - r) P = 0,
     as the polynomial identity it is times B^2 M for omega = A/B and
-    r = N/M (_Case1Operator)."""
+    r = N/M:
+        B^2 M P'' + 2 A B M P' + (M (A' B - A B' + A^2) - B^2 N) P = 0."""
     r, omega, p = RatFunc.coerce(r), RatFunc.coerce(omega), Poly.coerce(p)
-    a0, a1, a2 = _Case1Operator(omega.den, r).coeffs(omega.num)
+    a, b, m = omega.num, omega.den, r.den
     p1 = p.derivative()
-    return (a2 * p1.derivative() + a1 * p1 + a0 * p).is_zero()
+    bm = b * m
+    a0 = m * (a.derivative() * b - a * b.derivative() + a * a)
+    a0 = a0 - b * b * r.num
+    return (b * bm * p1.derivative() + a * bm.scale(2) * p1 + a0 * p).is_zero()
 
 
 def _rational_part(e: Scalar) -> Fraction:
@@ -478,8 +438,9 @@ def _surds_cancel(surds, choice):
     return acc.is_zero()
 
 
-def case1(r: RatFunc, poles=None, roots=None):
-    """Kovacic's Case 1: a Case1Result, or None.  Raises
+def case1(r: RatFunc, poles=None, roots=None, setup=None):
+    """Kovacic's Case 1: a Case1Result, or None.  setup is the cached
+    _chain_setup(r, poles), made here if not given.  Raises
     VerificationError if a found answer fails verify_case1."""
     r = RatFunc.coerce(r)
     root_inf = None if roots is None else roots[-1]
@@ -505,46 +466,31 @@ def case1(r: RatFunc, poles=None, roots=None):
         else (1, -1)
         for d in points
     ]
+    if setup is None:
+        setup = cache(partial(_chain_setup, r, poles))
 
     @cache
-    def setup():
-        # omega = A/B, B = prod (x - c)^v with v the pole order of omega
-        # at c: that of the head at a c3 pole, else 1.  Each point has a
-        # share of A per sign, its head and alpha/(x - c) times B, and a
-        # candidate's A is the sum of the shares it picks.
-        lins = [Poly([-d.point, 1]) for d in locals_]
-        vs = [max(1, d.sqrt_head.den.degree()) for d in locals_]
-        b = Poly([1])
-        for lin, v in zip(lins, vs):
-            b = b * lin**v
-        shares = []
-        for i, (d, sgs) in enumerate(zip(points, signs)):
+    def shares():
+        # omega = A/L, as the exponent of x - c in L is omega's pole
+        # order at c (that of the head at a c3 pole, else 1).  Each point
+        # has a share of A per sign: its head times L, plus alpha L/(x - c)
+        # at a finite point.
+        l_poly, cofactors, _ = setup()
+        out = []
+        for d, sgs, f in zip(points, signs, cofactors + [Poly([])]):
             head = RatFunc.coerce(d.sqrt_head)
-            if d is data_inf:
-                head_share, pole_share = head.num * b, Poly([])
-            else:
-                rest = b.exact_div(lins[i] ** vs[i])
-                head_share = head.num * rest
-                pole_share = rest * lins[i] ** (vs[i] - 1)
-            shares.append([
-                head_share.scale(sg) + pole_share.scale(d.alpha(sg))
-                for sg in sgs
-            ])
-        return b, shares, _Case1Operator(b, r)
+            head = head.num * l_poly.exact_div(head.den)
+            out.append([head.scale(sg) + f.scale(d.alpha(sg)) for sg in sgs])
+        return out
 
-    def build(choice, m):
-        b, shares, op = setup()
+    def l_theta(cofactors, choice):
+        # a candidate's A = L theta is the sum of the shares it picks
         a = Poly([])
-        for share, j in zip(shares, choice):
+        for share, j in zip(shares(), choice):
             a = a + share[j]
-        p = _monic_poly_solution(_images(op.coeffs(a), m))
-        if p is None:
-            return None
-        omega = RatFunc(a, b)
-        if not verify_case1(r, omega, p):
-            raise VerificationError("case-1 identity failed")
-        return Case1Result(omega, p, m)
+        return a
 
+    build = partial(_chain_build, r, setup, 1, l_theta)
     # a choice picks, per point, the index of its sign
     alphas = [[d.alpha(sg) for sg in sgs] for d, sgs in zip(points, signs)]
     indices = [range(len(sgs)) for sgs in signs]
@@ -638,16 +584,17 @@ def _l_theta(cofactors, exponents, scale):
     return acc
 
 
-def _chain_build(r: RatFunc, setup, n, scale, choice, m):
-    """The candidate builder of Cases 2 (n = 2) and 3: for the exponents
-    in choice, theta = sum scale e_c / (x - c), the monic P of degree m
-    with P_{-1} = 0 (_kovacic_chain), or None.  The certificate is
-    omega_poly, sum_i L^i P_i / (n - i)! omega^i, and for Case 2 its
-    monic form, the quadratic omega^2 - phi omega + (phi' + phi^2 - 2 r)/2
-    with phi = theta + P'/P.  setup() is _chain_setup(r, poles); a
-    failed check raises VerificationError."""
+def _chain_build(r: RatFunc, setup, n, l_theta_of, choice, m):
+    """The candidate builder of Cases 1 (n = 1), 2 (n = 2) and 3: for
+    L theta = l_theta_of(cofactors, choice), the monic P of degree m with
+    P_{-1} = 0 (_kovacic_chain), or None.  At n = 1 that is Case 1's
+    equation, and the certificate is omega = theta (verify_case1); else
+    it is omega_poly, sum_i L^i P_i / (n - i)! omega^i, and for Case 2
+    its monic form, the quadratic omega^2 - phi omega + (phi' + phi^2 -
+    2 r)/2 with phi = theta + P'/P.  setup() is _chain_setup(r, poles);
+    a failed check raises VerificationError."""
     l_poly, cofactors, l2r = setup()
-    l_theta = _l_theta(cofactors, choice[:-1], scale)
+    l_theta = l_theta_of(cofactors, choice)
     d, (s, t, r2) = _integer_lists(l_poly, l_theta, l2r)
     images = [
         _kovacic_chain([0] * j + [1], s, t, r2, d, n)[0]
@@ -656,6 +603,12 @@ def _chain_build(r: RatFunc, setup, n, scale, choice, m):
     p = _monic_poly_solution(images)
     if p is None:
         return None
+    theta = RatFunc(l_theta, l_poly)
+    if n == 1:
+        res = Case1Result(theta, p, m)
+        if not verify_case1(r, theta, p):
+            raise VerificationError("case-1 identity failed")
+        return res
     q_den, (q,) = _integer_lists(p)
     chain = _kovacic_chain(q, s, t, r2, d, n)
     # chain[i + 1] = q_den d^(n-i) P_i
@@ -666,7 +619,6 @@ def _chain_build(r: RatFunc, setup, n, scale, choice, m):
         )
         for i in range(n + 1)
     ]
-    theta = RatFunc(l_theta, l_poly)
     if n == 2:
         quadratic = tuple(c / omega_poly[2] for c in omega_poly)
         res = Case2Result(theta, p, m, -quadratic[1], quadratic)
@@ -679,11 +631,11 @@ def _chain_build(r: RatFunc, setup, n, scale, choice, m):
     return res
 
 
-def case2(r: RatFunc, poles=None, roots=None):
+def case2(r: RatFunc, poles=None, roots=None, setup=None):
     """Kovacic's Case 2, for an r whose Case 1 has failed: a Case2Result,
     or None.  A simple pole is a logarithmic point, which D-infinity
-    rules out: None at once.  Raises VerificationError if a found
-    answer fails its check."""
+    rules out: None at once.  setup is as in case1.  Raises
+    VerificationError if a found answer fails its check."""
     r = RatFunc.coerce(r)
     if poles is None:
         poles = r.poles()
@@ -693,8 +645,10 @@ def case2(r: RatFunc, poles=None, roots=None):
         roots = _order2_roots(r, poles)
     # Kovacic's E_c: {2, 2 +- 2 sqrt(1 + 4b)}, m = (e_inf - sum e_c) / 2
     sets = next(_exponent_sets(r, poles, roots, 2, [2]))
-    setup = cache(partial(_chain_setup, r, poles))
-    build = partial(_chain_build, r, setup, 2, Fraction(1, 2))
+    if setup is None:
+        setup = cache(partial(_chain_setup, r, poles))
+    l_theta = partial(_l_theta, scale=Fraction(1, 2))
+    build = partial(_chain_build, r, setup, 2, l_theta)
     return _search(sets, sets, Fraction(1, 2), build)
 
 
@@ -719,12 +673,13 @@ def _case3_degrees(roots):
     return (12,) if orders <= {1, 2, 3, 5} else ()
 
 
-def case3(r: RatFunc, poles=None, roots=None):
+def case3(r: RatFunc, poles=None, roots=None, setup=None):
     """Kovacic's Case 3, for an r whose Cases 1 and 2 have failed, at
     each n that _case3_degrees allows: a Case3Result, or None.  Poles of
     order 2 only (a simple pole is logarithmic), where L = S, the product
-    of x - c, and order >= 2 at infinity, else None at once.  Raises
-    VerificationError if a found answer fails its check."""
+    of x - c, and order >= 2 at infinity, else None at once.  setup is
+    as in case1.  Raises VerificationError if a found answer fails its
+    check."""
     r = RatFunc.coerce(r)
     if poles is None:
         poles = r.poles()
@@ -734,12 +689,14 @@ def case3(r: RatFunc, poles=None, roots=None):
         return None
     if roots is None:
         roots = _order2_roots(r, poles)
-    setup = cache(partial(_chain_setup, r, poles))
+    if setup is None:
+        setup = cache(partial(_chain_setup, r, poles))
     # Kovacic's E_c: 6 + (12 k / n) sqrt(1 + 4b), |k| <= n/2
     ns = _case3_degrees(roots)
     for n, sets in zip(ns, _exponent_sets(r, poles, roots, 6, ns)):
         scale = Fraction(n, 12)
-        build = partial(_chain_build, r, setup, n, scale)
+        l_theta = partial(_l_theta, scale=scale)
+        build = partial(_chain_build, r, setup, n, l_theta)
         res = _search(sets, sets, scale, build)
         if res is not None:
             return res
@@ -762,8 +719,9 @@ def _kovacic_chain(q, s, t, r2, d, n):
     downward recursion P_n = -P,
         P_{i-1} = -L P_i' + ((n-i) L' - L theta) P_i
                   - (n-i)(i+1) L^2 r P_{i+1},
-    L^(n-i+1) times the recursion with L = 1, whose P_{-1} at n = 2 is
-    Case 2's P''' + 3 theta P'' + (3 theta' + 3 theta^2 - 4 r) P'
+    L^(n-i+1) times the recursion with L = 1, whose P_{-1} at n = 1 is
+    minus Case 1's P'' + 2 theta P' + (theta' + theta^2 - r) P, and at
+    n = 2 Case 2's P''' + 3 theta P'' + (3 theta' + 3 theta^2 - 4 r) P'
     + (theta'' + 3 theta theta' + theta^3 - 4 r theta - 2 r') P.  It runs
     on coefficient lists (ints, or Scalars when irrational) with s = d L,
     t = d L theta, r2 = d L^2 r and q the list of P:
@@ -786,17 +744,22 @@ def _kovacic_chain(q, s, t, r2, d, n):
 
 
 def _add_product(out, f, g, c):
-    """out += c f g for coefficient lists, low order first; c an int."""
+    """out += c f g for coefficient lists, low order first; c an int.
+    The low zeros of g are skipped: the image of x^j has j of them."""
     if not (c and f and g):
         return
     need = len(f) + len(g) - 1
     if len(out) < need:
         out.extend([0] * (need - len(out)))
-    for i, fi in enumerate(f):
+    low = 0
+    while low < len(g) and not g[low]:
+        low += 1
+    g = g[low:]
+    for i, fi in enumerate(f, low):
         if fi:
             fi = c * fi
-            for j, gj in enumerate(g):
-                out[i + j] += fi * gj
+            for j, gj in enumerate(g, i):
+                out[j] += fi * gj
 
 
 def solve_rlde(e) -> object:
@@ -808,11 +771,12 @@ def solve_rlde(e) -> object:
         r = RatFunc.coerce(e)
     poles = r.poles()
     roots = _order2_roots(r, poles)
-    res = case1(r, poles, roots)
+    setup = cache(partial(_chain_setup, r, poles))
+    res = case1(r, poles, roots, setup)
     if res is None and not _logarithmic(r, poles, roots):
-        res = case2(r, poles, roots)
+        res = case2(r, poles, roots, setup)
         if res is None:
-            res = case3(r, poles, roots)
+            res = case3(r, poles, roots, setup)
     return Case4Result() if res is None else res
 
 

@@ -601,20 +601,20 @@ def monic_solution_reference(images):
     return None if sol is None else Poly(list(sol) + [1])
 
 
-def case1_reference(r, omega, m):
-    """Case 1's operator P'' + 2 omega P' + (omega' + omega^2 - r) P on
+def case1_operator(r, omega, q):
+    """Case 1's operator q'' + 2 omega q' + (omega' + omega^2 - r) q on
     RatFuncs."""
-    vfun = omega.derivative() + omega * omega - r
+    return (
+        RatFunc.coerce(q.derivative().derivative())
+        + 2 * omega * RatFunc.coerce(q.derivative())
+        + (omega.derivative() + omega * omega - r) * RatFunc.coerce(q)
+    )
 
-    def op(q):
-        return (
-            RatFunc.coerce(q.derivative().derivative())
-            + 2 * omega * RatFunc.coerce(q.derivative())
-            + vfun * RatFunc.coerce(q)
-        )
 
+def case1_reference(r, omega, m):
+    """The monic kernel polynomial of degree m of case1_operator."""
     return monic_solution_reference(
-        [op(Poly.monomial(1, j)) for j in range(m + 1)]
+        [case1_operator(r, omega, Poly.monomial(1, j)) for j in range(m + 1)]
     )
 
 
@@ -653,12 +653,7 @@ def theta_reference(poles, exponents, scale):
 
 def verify_case1_reference(r, omega, p):
     """The Case 1 identity on RatFuncs."""
-    lhs = (
-        RatFunc.coerce(p.derivative().derivative())
-        + 2 * omega * RatFunc.coerce(p.derivative())
-        + (omega.derivative() + omega * omega - r) * RatFunc.coerce(p)
-    )
-    return lhs.is_zero()
+    return case1_operator(r, omega, p).is_zero()
 
 
 @st.composite
@@ -706,6 +701,13 @@ def case2_instances(draw):
     return r, poles, exponents, draw(st.integers(0, 3))
 
 
+def case1_chain_lists(a, b, r):
+    """(d, [s, t, r2]) of Case 1's chain at n = 1 for omega = A/B and
+    r = N/M, scaled by L = B M: L theta = A M and L^2 r = L B N."""
+    l_poly = b * r.den
+    return _integer_lists(l_poly, a * r.den, l_poly * b * r.num)
+
+
 def chain_images(r, poles, exponents, m):
     """Images of x^0..x^m under Case 2's P_{-1} map (n = 2, theta = sum
     e_c / (2 (x - c))), from _chain_setup and _kovacic_chain."""
@@ -724,11 +726,27 @@ class TestClearedOperators:
     def test_case1_matches_ratfunc_operator(self, instance):
         a, b, r, p, perturbed = instance
         m = p.degree()
-        op = kovacic._Case1Operator(b, r)
-        got = kovacic._monic_poly_solution(kovacic._images(op.coeffs(a), m))
+        d, (s, t, r2) = case1_chain_lists(a, b, r)
+        images = [
+            _kovacic_chain([0] * j + [1], s, t, r2, d, 1)[0]
+            for j in range(m + 1)
+        ]
+        got = kovacic._monic_poly_solution(images)
         assert got == case1_reference(r, RatFunc(a, b), m)
         if not perturbed:
             assert got is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(case1_instances())
+    def test_chain_at_one_is_case1_operator(self, instance):
+        # P_{-1} = -(P'' + 2 theta P' + (theta' + theta^2 - r) P) at
+        # n = 1, and the chain returns it times d^2 L^2
+        a, b, r, p, _ = instance
+        d, (s, t, r2) = case1_chain_lists(a, b, r)
+        got = _kovacic_chain(p.coeffs, s, t, r2, d, 1)[0]
+        l_poly = rf(b * r.den)
+        want = -(d * d) * l_poly * l_poly * case1_operator(r, rf(a, b), p)
+        assert rf(Poly(got)) == want
 
     @settings(max_examples=60, deadline=None)
     @given(case2_instances())
@@ -1098,15 +1116,39 @@ def test_case3_searches_only_degrees_its_group_can_have(triple, scales, n):
 
 
 def counted_setup(mp):
-    """Patch the Case 1-3 setup steps to log their names; the log."""
+    """Patch _chain_setup, the setup of Cases 1-3, to log its calls by
+    name; the log."""
     made = []
-    for name in ("_Case1Operator", "_chain_setup"):
-        def counting(*args, _real=getattr(kovacic, name), _name=name):
-            made.append(_name)
-            return _real(*args)
+    real = kovacic._chain_setup
 
-        mp.setattr(kovacic, name, counting)
+    def counting(*args):
+        made.append("_chain_setup")
+        return real(*args)
+
+    mp.setattr(kovacic, "_chain_setup", counting)
     return made
+
+
+# two equations on which both Case 2 and Case 3 build candidates: Case 4,
+# and Case 3
+SHARED_SETUP = [
+    "(-3/16*x^2 - 3/10*x - 189/400)/(x^4 - 2*x^2 + 1)",
+    "(-5/36*x^2 + 35/72*x - 79/72)/(x^4 - 8*x^3 + 22*x^2 - 24*x + 9)",
+]
+
+
+@pytest.mark.parametrize("rho", [r["rho"] for r in PINNED] + SHARED_SETUP)
+def test_one_setup_per_equation(rho):
+    # Cases 1-3 share one _chain_setup, and a Case 1 omega = A/B has its
+    # B dividing that setup's L
+    r = parse_ratfunc(rho)
+    with pytest.MonkeyPatch.context() as mp:
+        made = counted_setup(mp)
+        res = solve_rlde(r)
+    assert len(made) <= 1
+    if res.case == 1:
+        l_poly = kovacic._chain_setup(r, r.poles())[0]
+        assert l_poly.divmod(res.omega.den)[1].is_zero()
 
 
 def test_setup_waits_for_a_surviving_candidate():
