@@ -436,7 +436,7 @@ def _as_ratfunc(value):
     canonical as it stands."""
     if type(value) is tuple:
         num = Poly._from_zz(list(value[0]), value[1])
-        return RatFunc(num, 1, _canonical=True)
+        return RatFunc.coerce(num)
     return value
 
 

@@ -728,34 +728,36 @@ def _kovacic_chain(q, s, t, r2, d, n):
         Q_{i-1} = -s Q_i' + ((n-i) s' - t) Q_i - (n-i)(i+1) d r2 Q_{i+1}.
     """
     s1 = [k * c for k, c in enumerate(s)][1:]
-    chain = [[-c for c in q]]
-    above = []  # Q_{i+1}
+    # each Q_i is x^o times its window w: the image of x^j starts j zeros
+    # up, and the chain works on the windows only
+    o = next((k for k, c in enumerate(q) if c), 0)
+    chain = [(o, [-c for c in q[o:]])]
+    above = (o, [])  # Q_{i+1}
     for i in range(n, -1, -1):
-        qi = chain[-1]
+        o, w = chain[-1]
+        # (x^o w)' = x^(o-1) sum (o + k) w_k x^k, and w' when o = 0
+        dw = [(o + k) * c for k, c in enumerate(w)][0 if o else 1:]
+        lo = o - 1 if o else 0
         out = []
-        _add_product(out, s, [k * c for k, c in enumerate(qi)][1:], -1)
-        _add_product(out, s1, qi, n - i)
-        _add_product(out, t, qi, -1)
-        _add_product(out, r2, above, -(n - i) * (i + 1) * d)
-        above = qi
-        chain.append(out)
+        _add_product(out, s, dw, -1, 0)
+        _add_product(out, s1, w, n - i, o - lo)
+        _add_product(out, t, w, -1, o - lo)
+        _add_product(out, r2, above[1], -(n - i) * (i + 1) * d, above[0] - lo)
+        above = o, w
+        chain.append((lo, out))
     chain.reverse()
-    return chain
+    return [[0] * o + w for o, w in chain]
 
 
-def _add_product(out, f, g, c):
-    """out += c f g for coefficient lists, low order first; c an int.
-    The low zeros of g are skipped: the image of x^j has j of them."""
+def _add_product(out, f, g, c, shift):
+    """out += c f g x^shift for coefficient lists, low order first; c an
+    int."""
     if not (c and f and g):
         return
-    need = len(f) + len(g) - 1
+    need = len(f) + len(g) - 1 + shift
     if len(out) < need:
         out.extend([0] * (need - len(out)))
-    low = 0
-    while low < len(g) and not g[low]:
-        low += 1
-    g = g[low:]
-    for i, fi in enumerate(f, low):
+    for i, fi in enumerate(f, shift):
         if fi:
             fi = c * fi
             for j, gj in enumerate(g, i):

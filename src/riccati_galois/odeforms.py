@@ -135,7 +135,7 @@ class ExponentialMultiplier:
 def transform_T(e: RiccatiGeneral):
     """General Riccati to reduced Riccati; returns (equation, substitution)."""
     a0, a1, a2 = e.a0, e.a1, e.a2
-    alpha = -(a2.derivative() / (2 * a2 * a2) + a1 / (2 * a2))
+    alpha = -(a2.derivative() / (2 * a2**2) + a1 / (2 * a2))
     beta = -1 / a2
     r = (a0 + a1 * alpha + a2 * alpha * alpha - alpha.derivative()) / beta
     return RiccatiReduced(r), AffineSubstitution(alpha, beta)
@@ -151,7 +151,7 @@ def transform_B(e: RiccatiGeneral) -> SecondOrderODE:
 def transform_S(e: SecondOrderODE):
     """Remove the first-order term; returns (equation, multiplier)."""
     b1, b0 = e.b1, e.b0
-    rho = b1 * b1 * RatFunc.coerce(1) / 4 + b1.derivative() / 2 - b0
+    rho = b1 * b1 / 4 + b1.derivative() / 2 - b0
     return ReducedODE(rho), ExponentialMultiplier(-b1 / 2)
 
 

@@ -27,8 +27,8 @@ Scalar (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6):
 - gcd runs GCDHEU (_heu_gcd): one integer gcd of the two values at a
   large point, read back as a polynomial and accepted only when it
   divides both operands exactly, which also gives the cofactors
-  (gcd_cofactors hands them up); after a few points it falls back to
-  the primitive polynomial remainder sequence (_prs_gcd);
+  (RatFunc's sums and products use them); after a few points it falls
+  back to the primitive polynomial remainder sequence (_prs_gcd);
 - _rational_canonical, which RatFunc uses to cancel a numerator against
   its denominator, takes contents and then the primitive gcd with its
   cofactors in one pass.
@@ -313,10 +313,7 @@ class Poly:
     def derivative(self) -> "Poly":
         zz = _rational_coeffs(self)
         if zz is not None:
-            ints = zz[0]
-            return Poly._from_zz(
-                [k * ints[k] for k in range(1, len(ints))], zz[1]
-            )
+            return Poly._from_zz(_deriv(zz[0]), zz[1])
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def monic(self) -> "Poly":
@@ -418,28 +415,11 @@ def gcd(a: Poly, b: Poly) -> Poly:
 
 
 def gcd_cofactors(a: Poly, b: Poly):
-    """(g, a/g, b/g) for nonzero a and b, g = gcd(a, b).  Rational
-    operands take the cofactors f, k of their primitive parts from
-    GCDHEU: with h their primitive gcd, g = h / lc(h) and a/g =
-    cont(a) lc(h) f over a's denominator.  With a tower coefficient the
-    cofactors are exact quotients by gcd(a, b)."""
-    fa, fb = _rational_coeffs(a), _rational_coeffs(b)
-    if fa is None or fb is None:
-        g = gcd(a, b)
-        if g.degree() == 0:
-            return g, a, b
-        return g, a.exact_div(g), b.exact_div(g)
-    (ia, da), (ib, db) = fa, fb
-    ca, cb = igcd(*ia), igcd(*ib)
-    h, f, k = _heu_gcd(_primitive(ia, ca), _primitive(ib, cb))
-    if len(h) == 1:
-        return Poly._from_zz([1], 1), a, b
-    ua, ub = ca * h[-1], cb * h[-1]
-    return (
-        _monic(h),
-        Poly._from_zz([ua * c for c in f], da),
-        Poly._from_zz([ub * c for c in k], db),
-    )
+    """(g, a/g, b/g) for nonzero a and b, g = gcd(a, b)."""
+    g = gcd(a, b)
+    if g.degree() == 0:
+        return g, a, b
+    return g, a.exact_div(g), b.exact_div(g)
 
 
 def _euclid_gcd(a: Poly, b: Poly) -> Poly:
@@ -484,24 +464,43 @@ def _rational_add(fa, fb, sign):
     """fa + sign * fb over the lcm of the denominators, as a Poly."""
     (a, da), (b, db) = fa, fb
     den = ilcm(da, db)
-    ua, ub = den // da, sign * (den // db)
-    if ua != 1:
-        a = [ua * c for c in a]
-    if ub != 1:
-        b = [ub * c for c in b]
+    return Poly._from_zz(_combine(a, den // da, b, sign * (den // db)), den)
+
+
+def _deriv(f):
+    """The derivative of an int list, as a new list."""
+    return [k * f[k] for k in range(1, len(f))]
+
+
+def _combine(a, u, b, v):
+    """The int list u*a + v*b, for int lists a, b and ints u, v; it may
+    end in zeros."""
+    if u != 1:
+        a = [u * c for c in a]
+    if v != 1:
+        b = [v * c for c in b]
     n = min(len(a), len(b))
-    return Poly._from_zz([x + y for x, y in zip(a, b)] + a[n:] + b[n:], den)
+    return [x + y for x, y in zip(a, b)] + a[n:] + b[n:]
 
 
-def _rational_mul(fa, fb):
-    """Product of two nonzero integer forms as a Poly."""
-    (a, da), (b, db) = fa, fb
+def _convolve(a, b):
+    """The product of two int lists, [] when either is empty; a new list
+    with no trailing zero when neither operand ends in one."""
+    if not a or not b:
+        return []
+    if len(a) > len(b):
+        a, b = b, a
     nb = len(b)
     out = [0] * (len(a) + nb - 1)
     for i, ai in enumerate(a):
         if ai:
             out[i:i + nb] = [o + ai * bj for o, bj in zip(out[i:i + nb], b)]
-    return Poly._from_zz(out, da * db)
+    return out
+
+
+def _rational_mul(fa, fb):
+    """Product of two nonzero integer forms as a Poly."""
+    return Poly._from_zz(_convolve(fa[0], fb[0]), fa[1] * fb[1])
 
 
 def _rational_divmod(fa, fb):
@@ -677,13 +676,16 @@ def _integer_exact_div(f, g):
 def _rational_canonical(fn, fd):
     """Canonical num/den of the rational function fn/fd as two Polys.
 
-    fn and fd are integer forms, fd nonzero.  The result is coprime with
+    fn and fd are integer forms, fd nonzero; zeros that end the ints of
+    fn are popped from that list.  The result is coprime with
     a monic denominator: the contents come off first, GCDHEU
     (_heu_gcd) replaces the primitive parts by their cofactors over
     their gcd, and the ratio of contents and denominators over lc(den)
     scales the numerator.
     """
     (a, da), (b, db) = fn, fd
+    while a and not a[-1]:
+        a.pop()
     if not a:
         return Poly([]), Poly.coerce(1)
     ca, cb = igcd(*a), igcd(*b)
@@ -765,7 +767,7 @@ def rational_roots(p: Poly):
     if len(ints) <= 1:
         return roots
     # the square-free part has the same roots, each simple
-    ints = _heu_gcd(ints, _primitive([k * c for k, c in enumerate(ints)][1:]))[1]
+    ints = _heu_gcd(ints, _primitive(_deriv(ints)))[1]
     n, an = len(ints) - 1, ints[-1]
     monic = [c * an ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
     roots.extend(Fraction(y, an) for y in _integer_roots(monic))
@@ -784,7 +786,7 @@ def _integer_roots(f):
     1 + max |f_k|, so it is the residue of its lift in (-m/2, m/2]; each
     such residue is kept if f vanishes there exactly.
     """
-    df = [k * c for k, c in enumerate(f)][1:]
+    df = _deriv(f)
     p = 1
     while True:
         p += 1

@@ -9,11 +9,11 @@ division, with the primitive remainder sequence as its fallback), on
 the integer forms, and no Scalar is built.  Otherwise it runs
 _canonical_form (gcd, exact_div and scale on Scalars), the path for
 tower coefficients and the reference the tests hold the kernel to.
-Arithmetic on canonical operands reaches the kernel through Poly's
-add, multiply, exact_div, derivative and gcd, so a rational chain of
-RatFunc operations builds Scalars only where a caller reads .coeffs
-(evaluation, printing).  A power of a canonical RatFunc, a square
-included, is canonical as it stands and takes no gcd.
+Arithmetic on rational operands reads the integer forms once (_forms)
+and builds the result Polys from int lists: sums and products cancel by
+Henrici's rules, a derivative by gcd(b, b') (Hermite), and a scalar
+factor or a power takes no gcd.  Tower coefficients take Poly
+operations and _canonical_form, the reference of the tests.
 
 On top of the arithmetic this module provides the local data the
 decision algorithm feeds on: pole lists, Laurent expansions at finite
@@ -31,10 +31,16 @@ Taylor coefficients it yields.
 """
 
 from fractions import Fraction
-from math import lcm as ilcm
+from math import gcd as igcd, lcm as ilcm
 
 from .poly import (
     Poly,
+    _combine,
+    _convolve,
+    _deriv,
+    _heu_gcd,
+    _monic,
+    _primitive,
     _rational_canonical,
     _rational_coeffs,
     extended_gcd,
@@ -48,17 +54,16 @@ from .scalars import QQ, Scalar
 class RatFunc:
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=1, _canonical=False):
+    def __init__(self, num, den=1):
         num = Poly.coerce(num)
         den = Poly.coerce(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if not _canonical:
-            fn, fd = _rational_coeffs(num), _rational_coeffs(den)
-            if fn is not None and fd is not None:
-                num, den = _rational_canonical(fn, fd)
-            else:
-                num, den = _canonical_form(num, den)
+        fn, fd = _rational_coeffs(num), _rational_coeffs(den)
+        if fn is not None and fd is not None:
+            num, den = _rational_canonical(fn, fd)
+        else:
+            num, den = _canonical_form(num, den)
         self.num = num
         self.den = den
 
@@ -66,11 +71,11 @@ class RatFunc:
     def coerce(cls, x):
         if isinstance(x, RatFunc):
             return x
-        return cls(Poly.coerce(x), Poly([1]), _canonical=True)
+        return _new(Poly.coerce(x), _ONE)
 
     @classmethod
     def x(cls):
-        return cls(Poly.x(), Poly([1]), _canonical=True)
+        return _new(Poly.x(), _ONE)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -83,44 +88,94 @@ class RatFunc:
             raise ValueError("not a polynomial: %s" % self)
         return self.num
 
-    def __add__(self, other):
-        # Henrici: with g = gcd(den1, den2) the sum is
-        # (num1 * den2/g + num2 * den1/g) / (den1 * den2/g), and any
-        # common factor of that numerator and denominator divides g
+    def _add(self, other, sign):
+        """self + sign * other, sign +-1.  Henrici: with den1 = h f and
+        den2 = h g the sum is M / (h f g), and gcd(M, h f g) divides h."""
         other = RatFunc.coerce(other)
-        g, d1g, d2g = gcd_cofactors(self.den, other.den)
-        num = self.num * d2g + other.num * d1g
-        den = self.den * d2g
-        if g.degree() == 0:
-            # coprime denominators: g = 1 and the sum is already canonical
-            return RatFunc(num, den, _canonical=True)
-        h = gcd(num, g)
-        return RatFunc(num.exact_div(h), den.exact_div(h), _canonical=True)
+        fs = _forms(self, other)
+        if fs is None:
+            other = other if sign > 0 else -other
+            g, d1g, d2g = gcd_cofactors(self.den, other.den)
+            num, den = self.num * d2g + other.num * d1g, self.den * d2g
+            if g.degree() == 0:
+                return _new(num, den)
+            h = gcd(num, g)
+            return _new(num.exact_div(h), den.exact_div(h))
+        (a, da), (b, db), (c, dc), (e, de) = fs
+        h, f, g = _heu_gcd(b, e)
+        # M = (a db g / da + sign c de f / dc) / lc(f g); lc(f g) > 0
+        dm, lc = ilcm(da, dc), f[-1] * g[-1]
+        u, v = db * (dm // da), sign * de * (dm // dc)
+        m = _combine(_convolve(a, g), u, _convolve(c, f), v)
+        if len(h) > 1:
+            num, den = _rational_canonical((m, dm * lc), (h, 1))
+        else:  # coprime denominators: M / (f g) is canonical
+            num, den = Poly._from_zz(m, dm * lc), _ONE
+        ints, d = den._zz
+        return _new(num, Poly._from_zz(_convolve(ints, _convolve(f, g)), d * lc))
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return RatFunc(-self.num, self.den, _canonical=True)
-
     def __sub__(self, other):
-        return self + (-RatFunc.coerce(other))
+        return self._add(other, -1)
 
     def __rsub__(self, other):
-        return RatFunc.coerce(other) + (-self)
+        return (-self)._add(other, 1)
+
+    def __neg__(self):
+        return _new(-self.num, self.den)
 
     def __mul__(self, other):
         if other is self:
             return self**2
-        other = RatFunc.coerce(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return self._times(other, False)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = RatFunc.coerce(other)
-        if other.is_zero():
+        return self._times(other, True)
+
+    def _times(self, other, invert):
+        """self * other, or self / other when invert.  (x/y)(z/w) cancels
+        gcd(x, w) and gcd(z, y) (Henrici); a rational constant z/w, an
+        int or a Fraction included, scales x and takes no gcd."""
+        fs = _forms(self)
+        if fs is not None and isinstance(other, (int, Fraction)):
+            p = other.numerator
+            fs += [([p] if p else [], 1), ([other.denominator], 1)]
+        else:
+            other = RatFunc.coerce(other)
+            fo = _forms(other)
+            if fs is None or fo is None:
+                z, w = (other.den, other.num) if invert else (other.num, other.den)
+                if w.is_zero():
+                    raise ZeroDivisionError("division by the zero rational function")
+                return RatFunc(self.num * z, self.den * w)
+            fs += fo
+        (a, da), (b, db), (c, dc), (e, de) = fs
+        if invert:
+            (c, dc), (e, de) = (e, de), (c, dc)
+        if not e:
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        if not a or not c:
+            return RatFunc.coerce(0)
+        if len(c) == len(e) == 1:
+            m, d = c[0] * de, da * dc * e[0]
+            den = self.den
+        else:
+            # y is a canonical denominator, so b is primitive
+            ca, cc, ce = igcd(*a), igcd(*c), igcd(*e)
+            _, a, e = _heu_gcd(_primitive(a, ca), _primitive(e, ce))
+            _, c, b = _heu_gcd(_primitive(c, cc), b)
+            a, b = _convolve(a, c), _convolve(b, e)
+            m, d = ca * cc * db * de, da * dc * ce * b[-1]
+            den = _monic(b)
+        if d < 0:
+            m, d = -m, -d
+        return _new(Poly._from_zz([m * x for x in a], d), den)
 
     def __rtruediv__(self, other):
         return RatFunc.coerce(other) / self
@@ -129,23 +184,37 @@ class RatFunc:
         if n < 0:
             return (RatFunc.coerce(1) / self) ** (-n)
         # powers of coprime polynomials stay coprime, of a monic one monic
-        return RatFunc(self.num**n, self.den**n, _canonical=True)
+        return _new(self.num**n, self.den**n)
 
     def __eq__(self, other):
         try:
             other = RatFunc.coerce(other)
         except TypeError:
             return NotImplemented
-        return (self.num * other.den - other.num * self.den).is_zero()
+        # the canonical form is unique
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def derivative(self) -> "RatFunc":
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        f = _forms(self)
+        if f is None:
+            return RatFunc(
+                self.num.derivative() * self.den - self.num * self.den.derivative(),
+                self.den * self.den,
+            )
+        (a, da), (b, db) = f
+        if len(b) == 1:
+            return _new(self.num.derivative(), _ONE)
+        # Hermite: b = h u, b' = k h v, h = gcd(b, b'), k = cont(b'):
+        # (a/b)' = (a' u - k a v) / (b u), in lowest terms
+        d = _deriv(b)
+        k = igcd(*d)
+        _, u, v = _heu_gcd(b, _primitive(d, k))
+        t = 1 if u[-1] > 0 else -1
+        w = _combine(_convolve(_deriv(a), u), t, _convolve(a, v), -t * k)
+        return _new(Poly._from_zz(w, da * t * u[-1]), _monic(_convolve(b, u)))
 
     def __call__(self, point):
         point = Scalar.coerce(point)
@@ -183,7 +252,7 @@ class RatFunc:
         return self.num // self.den
 
     def proper_part(self) -> "RatFunc":
-        return RatFunc(self.num % self.den, self.den, _canonical=True)
+        return _new(self.num % self.den, self.den)
 
     def laurent_at(self, c, count):
         """First `count` Laurent coefficients at x = c.
@@ -236,6 +305,23 @@ class RatFunc:
 
     def __repr__(self):
         return "RatFunc(%s)" % self
+
+
+def _new(num, den):
+    """The RatFunc num/den of a canonical pair, past __init__."""
+    r = object.__new__(RatFunc)
+    r.num, r.den = num, den
+    return r
+
+
+_ONE = Poly([1])
+
+
+def _forms(*rs):
+    """The integer forms of num and den of each r in a list, or None for
+    a tower."""
+    fs = [_rational_coeffs(p) for r in rs for p in (r.num, r.den)]
+    return None if None in fs else fs
 
 
 def _canonical_form(num: Poly, den: Poly):

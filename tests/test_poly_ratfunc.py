@@ -809,10 +809,26 @@ def assert_canonical(p):
 
 @contextlib.contextmanager
 def scalar_route():
-    """Every Poly operation takes the Scalar loops, rational or not."""
+    """Every Poly and RatFunc operation takes the Scalar loops, rational
+    or not."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(poly_module, "_rational_coeffs", lambda p: None)
+        mp.setattr(ratfunc_module, "_rational_coeffs", lambda p: None)
         yield
+
+
+def rf_keys(r):
+    return keys(r.num), keys(r.den)
+
+
+def assert_canonical_ratfunc(r):
+    """r.num and r.den are canonical Polys, coprime, r.den monic, and
+    the zero function is 0/1."""
+    assert_canonical(r.num)
+    assert_canonical(r.den)
+    assert r.den.leading() == 1 and gcd(r.num, r.den).degree() == 0
+    if r.num.is_zero():
+        assert rf_keys(r) == rf_keys(RatFunc.coerce(0))
 
 
 # coefficients for the printer: +-1 and 0 often, small fractions and
@@ -907,8 +923,8 @@ class TestRationalKernel:
         fraction_polys, fraction_polys, fraction_polys, fraction_polys, fraction_polys
     )
     def test_sum_matches_gcd_and_exact_div(self, common, n1, d1, n2, d2):
-        # the cofactors GCDHEU hands up against gcd and two exact
-        # divisions, the formula they replace in RatFunc.__add__
+        # a sum on integer forms against Henrici's formula written with
+        # gcd and exact divisions, which gcd_cofactors returns
         assume(not common.is_zero() and not d1.is_zero() and not d2.is_zero())
         r1, r2 = RatFunc(n1, common * d1), RatFunc(n2, common * d2)
         g = gcd(r1.den, r2.den)
@@ -990,6 +1006,85 @@ class TestRationalKernel:
             _integer_exact_div([5], [1, 1])
 
 
+class TestRatFuncKernel:
+    """RatFunc arithmetic on integer forms against the Scalar route, on
+    rational operands: the same canonical pair from every operation.
+
+    The denominators share a planted factor, so sums and quotients
+    cancel; fraction_polys draws zero and constant operands and
+    negative leading coefficients.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fraction_polys,
+        fraction_polys,
+        fraction_polys,
+        fraction_polys,
+        fraction_polys,
+        small_fractions,
+    )
+    def test_ops_match_scalar_route(self, common, n1, d1, n2, d2, s):
+        assume(not common.is_zero() and not d1.is_zero() and not d2.is_zero())
+        r1, r2 = RatFunc(n1, common * d1), RatFunc(n2, common * d2)
+        ops = {
+            "add": lambda: r1 + r2,
+            "sub": lambda: r1 - r2,
+            "rsub": lambda: 2 - r1,
+            "cancel": lambda: r1 + (-r1),
+            "cancel_sub": lambda: (r1 + r2) - r2,
+            "neg": lambda: -r1,
+            "mul": lambda: r1 * r2,
+            "square": lambda: r1 * r1,
+            "derivative": lambda: r1.derivative(),
+            "mul_int": lambda: r1 * -3,
+            "rmul_int": lambda: 2 * r1,
+            "mul_zero": lambda: r1 * 0,
+            "mul_fraction": lambda: r1 * s,
+            "mul_constant": lambda: r1 * RatFunc.coerce(s),
+            "div_int": lambda: r1 / -3,
+        }
+        if s:
+            ops["div_fraction"] = lambda: r1 / s
+            ops["div_constant"] = lambda: r1 / RatFunc.coerce(s)
+        if not r2.is_zero():
+            ops["div"] = lambda: r1 / r2
+            ops["rdiv"] = lambda: F(-1, 2) / r2
+        got = {name: op() for name, op in ops.items()}
+        with scalar_route():
+            ref = {name: op() for name, op in ops.items()}
+        for name, result in got.items():
+            assert rf_keys(result) == rf_keys(ref[name]), name
+            assert result == ref[name] and hash(result) == hash(ref[name]), name
+            assert_canonical_ratfunc(result)
+        assert got["cancel"].is_zero() and got["cancel_sub"] == r1
+
+    @settings(max_examples=150, deadline=None)
+    @given(fraction_polys, fraction_polys, fraction_polys, fraction_polys)
+    def test_eq_and_hash_match_cross_multiplication(self, common, n1, d1, n2):
+        assume(not common.is_zero() and not d1.is_zero())
+        r1 = RatFunc(n1, d1)
+        same = RatFunc(common * n1, common * d1)
+        other = RatFunc(n2, d1)
+        assert r1 == same and hash(r1) == hash(same)
+        for x in (other, RatFunc.coerce(n2), n1.coeff(0).as_fraction()):
+            y = RatFunc.coerce(x)
+            crossed = (r1.num * y.den - y.num * r1.den).is_zero()
+            assert (r1 == x) == crossed == (x == r1)
+            with scalar_route():
+                assert (r1 == x) == crossed
+            if crossed:
+                assert hash(r1) == hash(y)
+
+    def test_division_by_zero(self):
+        r = RatFunc(X + 1, X - 2)
+        for zero in (0, F(0), RatFunc.coerce(0), Poly([])):
+            with pytest.raises(ZeroDivisionError):
+                r / zero
+        with pytest.raises(ZeroDivisionError):
+            1 / RatFunc.coerce(0)
+
+
 ARITHMETIC_DUNDERS = (
     "__add__",
     "__radd__",
@@ -1025,6 +1120,28 @@ def count_scalar_arithmetic(monkeypatch):
     return calls
 
 
+def count_heu_gcd(monkeypatch):
+    """Patch _heu_gcd where Poly and RatFunc call it; the log of its
+    operands."""
+    calls = []
+    inner = poly_module._heu_gcd
+
+    def counting(f, g):
+        calls.append((f, g))
+        return inner(f, g)
+
+    monkeypatch.setattr(poly_module, "_heu_gcd", counting)
+    monkeypatch.setattr(ratfunc_module, "_heu_gcd", counting)
+    return calls
+
+
+RICCATI_EXAMPLE = RiccatiGeneral(
+    RatFunc(Poly([2, -1, 3]), Poly([1, 0, -2])),
+    RatFunc(Poly([F(1, 2), 3]), Poly([-3, 1])),
+    RatFunc(Poly([-2, 0, 0, 1]), Poly([1, 2])),
+)
+
+
 class FrozenList(list):
     """A list whose every mutating method fails the test."""
 
@@ -1058,16 +1175,39 @@ class TestKernelDispatch:
         assert calls
 
     def test_riccati_chain_makes_no_scalar_arithmetic(self, monkeypatch):
-        e = RiccatiGeneral(
-            RatFunc(Poly([2, -1, 3]), Poly([1, 0, -2])),
-            RatFunc(Poly([F(1, 2), 3]), Poly([-3, 1])),
-            RatFunc(Poly([-2, 0, 0, 1]), Poly([1, 2])),
-        )
         calls = count_scalar_arithmetic(monkeypatch)
-        direct = transform_T(e)[0]
-        via_linear = transform_R(transform_S(transform_B(e))[0])
+        direct = transform_T(RICCATI_EXAMPLE)[0]
+        via_linear = transform_R(transform_S(transform_B(RICCATI_EXAMPLE))[0])
         assert direct.r == via_linear.r
         assert calls == []
+
+    def test_scalar_operands_take_no_gcd(self, monkeypatch):
+        r = RatFunc(Poly([2, -1, 3]), Poly([1, 0, -2]))
+        calls = count_heu_gcd(monkeypatch)
+        results = [
+            r * 3,
+            -2 * r,
+            r * F(-2, 3),
+            r * RatFunc.coerce(F(5, 7)),
+            r / F(-4, 9),
+            r / 6,
+            r * 0,
+            -r,
+        ]
+        assert calls == []
+        with scalar_route():
+            ref = [r * 3, -2 * r, r * F(-2, 3), r * F(5, 7), r / F(-4, 9), r / 6]
+            ref += [RatFunc.coerce(0), RatFunc(-r.num, r.den)]
+        assert [rf_keys(x) for x in results] == [rf_keys(x) for x in ref]
+
+    def test_riccati_chain_gcd_count(self, monkeypatch):
+        # each product cancels crosswise (two gcds of factors), each sum
+        # takes one gcd of the denominators, a derivative one of b and
+        # b'; pinned, so that a new gcd on this path shows
+        calls = count_heu_gcd(monkeypatch)
+        transform_T(RICCATI_EXAMPLE)
+        transform_R(transform_S(transform_B(RICCATI_EXAMPLE))[0])
+        assert len(calls) <= 34
 
     def test_callers_never_mutate_coeffs(self, monkeypatch, capsys):
         # every Poly hands out a list that refuses mutation, on the
@@ -1120,6 +1260,7 @@ class TestKernelDispatch:
         ):
             monkeypatch.setattr(poly_module, name, refuse)
         monkeypatch.setattr("riccati_galois.ratfunc._rational_canonical", refuse)
+        monkeypatch.setattr("riccati_galois.ratfunc._heu_gcd", refuse)
         assert keys(rational * surd) == keys(rational._scalar_mul(surd))
         assert keys(surd * rational) == keys(surd._scalar_mul(rational))
         q, r = product.divmod(surd)
