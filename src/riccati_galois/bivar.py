@@ -13,6 +13,7 @@ from itertools import zip_longest
 
 from .poly import Poly
 from .ratfunc import RatFunc
+from .scalars import binary_power
 
 _ZERO = Poly([])
 
@@ -109,15 +110,7 @@ class BivarPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = BivarPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return binary_power(self, n, BivarPoly([1]))
 
     def __eq__(self, other):
         try:

@@ -11,7 +11,8 @@ printed value gives the value back.
 parse_ratfunc and parse_scalar (and so every --param and criteria flag)
 run _evaluate_form: a subtree whose value is a rational polynomial is
 held as its integer form (ints, den), as in poly.py, so + - * and ^ with
-an exponent >= 0 are integer list arithmetic, and the power bounds are
+an exponent >= 0 are poly.py's integer list operations (_combine,
+_convolve, powered by scalars.binary_power), and the power bounds are
 read off that form.  The first RatFunc, with its one canonicalisation,
 is built at a division by a non-constant, a negative power or a tower
 constant, and the first Scalar at a sqrt or for a constant result.  The
@@ -22,12 +23,12 @@ power, is a ParseError at the / or ^.
 """
 
 from fractions import Fraction
-from math import gcd as igcd
+from math import gcd as igcd, lcm as ilcm
 
 from .bivar import BivarPoly, BivarRatFunc, PlanarVectorField
-from .poly import Poly, _rational_coeffs
+from .poly import Poly, _combine, _convolve, _rational_coeffs
 from .ratfunc import RatFunc
-from .scalars import QQ, Scalar
+from .scalars import QQ, Scalar, binary_power
 
 
 class ParseError(SyntaxError):
@@ -373,9 +374,9 @@ def _evaluate_form(node, env):
     right = _evaluate_form(node[2], env)
     if type(left) is not tuple or type(right) is not tuple:
         return _binary(node, _as_ratfunc(left), _as_ratfunc(right))
-    if op == "mul":
-        return _form_mul(left, right)
     (f, df), (g, dg) = left, right
+    if op == "mul":
+        return _convolve(f, g), df * dg
     if op == "div":
         if not g:
             raise ParseError("division by zero", node[3])
@@ -388,30 +389,12 @@ def _evaluate_form(node, env):
         if g[0] < 0:
             dg = -dg
         return [c * dg for c in f], df * abs(g[0])
-    if op == "sub":
-        g = [-c for c in g]
-    if df != dg:
-        f, g, df = [c * dg for c in f], [c * df for c in g], df * dg
-    n = min(len(f), len(g))
-    out = [a + b for a, b in zip(f, g)] + f[n:] + g[n:]
+    den = ilcm(df, dg)
+    sign = 1 if op == "add" else -1
+    out = _combine(f, den // df, g, sign * (den // dg))
     while out and not out[-1]:
         out.pop()
-    return out, df
-
-
-def _form_mul(a, b):
-    """The product of two integer forms."""
-    (f, df), (g, dg) = a, b
-    if len(f) < len(g):
-        f, g = g, f
-    if len(g) <= 1:
-        return ([c * g[0] for c in f] if g else []), df * dg
-    out = [0] * (len(f) + len(g) - 1)
-    for i, c in enumerate(g):
-        if c:
-            for j, d in enumerate(f):
-                out[i + j] += c * d
-    return out, df * dg
+    return out, den
 
 
 def _form_pow(form, n):
@@ -421,14 +404,7 @@ def _form_pow(form, n):
     if den != 1:
         k = igcd(den, *ints)
         ints, den = [c // k for c in ints], den // k
-    result, base = ([1], 1), (ints, den)
-    while n:
-        if n & 1:
-            result = _form_mul(result, base)
-        n >>= 1
-        if n:
-            base = _form_mul(base, base)
-    return result
+    return binary_power(ints, n, [1], _convolve), den**n
 
 
 def _as_ratfunc(value):

@@ -30,9 +30,10 @@ shares) waits for a first surviving candidate.
 Cases 1-3 are one recursion with parameter n (Ulmer & Weil 1996):
 Kovacic's P_i chain, n = 1 for Case 1, 2 for Case 2 and 4, 6, 12 for
 Case 3, scaled by L = prod (x - c)^ceil(o/2) over the poles, runs on
-integer lists (_kovacic_chain) for the images of x^j and, in Cases 2
-and 3, for the certificate.  L and L^2 r are made once per equation
-(_chain_setup), and one builder serves every case (_chain_build).  At
+integer lists (_kovacic_chain, with poly.py's _add_product and _deriv)
+for the images of x^j and, in Cases 2 and 3, for the certificate.  L
+and L^2 r are made once per equation (_chain_setup), and one builder
+serves every case (_chain_build).  At
 n = 1, P_{-1} is minus Case 1's operator for theta = omega = A/L, with
 A the sum of one share per point, so no RatFunc, gcd or lcm is needed
 before the system is solved.  _monic_poly_solution solves integer rows
@@ -40,6 +41,7 @@ by fraction-free elimination (linalg.solve_fraction_free); rows with
 tower coefficients keep linalg.solve.  A nonzero polynomial factor
 keeps the solution set, and both solvers set free variables to zero,
 so each candidate gets the P it got from the uncleared operator.
+specialfn.orth_polynomial solves its kernel polynomial the same way.
 
 Every positive answer carries an exact certificate, checked once by
 its builder; a consistent candidate system implies the identity, so a
@@ -58,7 +60,7 @@ from math import factorial, lcm as ilcm
 from .formal import FormalIntegral, FormalProduct
 from .linalg import solve, solve_fraction_free
 from .odeforms import ReducedODE
-from .poly import Poly, _rational_coeffs
+from .poly import Poly, _add_product, _deriv, _rational_coeffs
 from .ratfunc import RatFunc
 from .reports import VerificationError
 from .scalars import QQ, Scalar
@@ -727,7 +729,7 @@ def _kovacic_chain(q, s, t, r2, d, n):
     t = d L theta, r2 = d L^2 r and q the list of P:
         Q_{i-1} = -s Q_i' + ((n-i) s' - t) Q_i - (n-i)(i+1) d r2 Q_{i+1}.
     """
-    s1 = [k * c for k, c in enumerate(s)][1:]
+    s1 = _deriv(s)
     # each Q_i is x^o times its window w: the image of x^j starts j zeros
     # up, and the chain works on the windows only
     o = next((k for k, c in enumerate(q) if c), 0)
@@ -747,21 +749,6 @@ def _kovacic_chain(q, s, t, r2, d, n):
         chain.append((lo, out))
     chain.reverse()
     return [[0] * o + w for o, w in chain]
-
-
-def _add_product(out, f, g, c, shift):
-    """out += c f g x^shift for coefficient lists, low order first; c an
-    int."""
-    if not (c and f and g):
-        return
-    need = len(f) + len(g) - 1 + shift
-    if len(out) < need:
-        out.extend([0] * (need - len(out)))
-    for i, fi in enumerate(f, shift):
-        if fi:
-            fi = c * fi
-            for j, gj in enumerate(g, i):
-                out[j] += fi * gj
 
 
 def solve_rlde(e) -> object:

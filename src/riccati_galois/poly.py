@@ -18,8 +18,8 @@ operations work on it and never build a Fraction per coefficient or a
 Scalar (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6):
 
 - +, -, unary -, scale, derivative, monic and compose work on the
-  integer lists over a common denominator;
-- * convolves the integer lists and multiplies the denominators;
+  integer lists over a common denominator (_combine, _deriv);
+- * multiplies the integer lists (_convolve) and the denominators;
 - divmod pseudo-divides in Z[x], scaling only by what the leading
   coefficients do not share;
 - exact_div divides by the primitive part of the divisor in Z[x]
@@ -33,10 +33,15 @@ Scalar (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6):
   its denominator, takes contents and then the primitive gcd with its
   cofactors in one pass.
 
-Results are reduced to the canonical form by Poly._from_zz.  Any tower
-coefficient sends the operation through the Scalar loops (_scalar_mul,
-_scalar_divmod, _euclid_gcd and the list comprehensions in the
-methods), which are also the reference the tests hold the kernel to.
+The list helpers _combine, _deriv and _add_product (out += c f g
+x^shift, on ints or Scalars; _convolve is one call of it) are the
+package's one copy of each: RatFunc's kernel, the parser's integer
+forms and Kovacic's chain use them too, and every power goes through
+scalars.binary_power.  Results are reduced to the canonical form by
+Poly._from_zz.  Any tower coefficient sends the operation through the
+Scalar loops (_scalar_mul, _scalar_divmod, _euclid_gcd and the list
+comprehensions in the methods), which are also the reference the tests
+hold the kernel to.
 
 Printing (Poly.__str__) renders a rational polynomial from the values
 ints[k] / den of its integer form, as ints or Fractions, and builds no
@@ -46,7 +51,7 @@ Scalar; only tower coefficients print through Scalars.
 from fractions import Fraction
 from math import gcd as igcd, isqrt, lcm as ilcm
 
-from .scalars import QQ, ZERO, Scalar, UnsupportedFieldError
+from .scalars import QQ, ZERO, Scalar, UnsupportedFieldError, binary_power
 
 
 def _integer_form(qs):
@@ -214,15 +219,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.coerce(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return binary_power(self, n, Poly([1]))
 
     def scale(self, s) -> "Poly":
         s = Scalar.coerce(s)
@@ -314,7 +311,7 @@ class Poly:
         zz = _rational_coeffs(self)
         if zz is not None:
             return Poly._from_zz(_deriv(zz[0]), zz[1])
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return Poly(_deriv(self.coeffs))
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -468,7 +465,8 @@ def _rational_add(fa, fb, sign):
 
 
 def _deriv(f):
-    """The derivative of an int list, as a new list."""
+    """The derivative of a coefficient list (ints, or Scalars), as a new
+    list."""
     return [k * f[k] for k in range(1, len(f))]
 
 
@@ -483,18 +481,29 @@ def _combine(a, u, b, v):
     return [x + y for x, y in zip(a, b)] + a[n:] + b[n:]
 
 
+def _add_product(out, f, g, c, shift):
+    """out += c f g x^shift, in place, for coefficient lists low order
+    first (ints, or Scalars for tower data) and an int c; out is padded
+    with int zeros as needed.  The one list product loop of the package."""
+    if not (c and f and g):
+        return
+    need = len(f) + len(g) - 1 + shift
+    if len(out) < need:
+        out.extend([0] * (need - len(out)))
+    for i, fi in enumerate(f, shift):
+        if fi:
+            fi = c * fi
+            for j, gj in enumerate(g, i):
+                out[j] += fi * gj
+
+
 def _convolve(a, b):
     """The product of two int lists, [] when either is empty; a new list
     with no trailing zero when neither operand ends in one."""
-    if not a or not b:
-        return []
     if len(a) > len(b):
-        a, b = b, a
-    nb = len(b)
-    out = [0] * (len(a) + nb - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            out[i:i + nb] = [o + ai * bj for o, bj in zip(out[i:i + nb], b)]
+        a, b = b, a  # the shorter list drives the outer loop
+    out = []
+    _add_product(out, a, b, 1, 0)
     return out
 
 

@@ -14,6 +14,8 @@ equality with zero is a structural check.
 
 from __future__ import annotations
 
+import operator
+import weakref
 from fractions import Fraction
 from math import isqrt
 
@@ -58,6 +60,20 @@ def _squarefree_decompose(n: int) -> tuple[int, int]:
     return sign * s * n, m
 
 
+def binary_power(base, n: int, one, mul=operator.mul):
+    """base**n for an int n >= 0 by repeated squaring; one is the
+    identity of the product mul.  The one powering loop of Scalar, Poly,
+    BivarPoly and the parser's integer lists."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
+
+
 def _fraction_sqrt(q: Fraction):
     if q < 0:
         return None
@@ -71,11 +87,12 @@ class Tower:
     """One level of the extension chain; QQ is the trivial tower.
 
     Towers are interned so that identical chains are the same object and the
-    ancestor test is a pointer walk.
+    ancestor test is a pointer walk.  The registry holds them weakly: a
+    tower lives as long as a value, a child tower or a caller uses it.
     """
 
-    __slots__ = ("base", "radicand", "depth", "key")
-    _registry: dict = {}
+    __slots__ = ("base", "radicand", "depth", "key", "__weakref__")
+    _registry = weakref.WeakValueDictionary()
 
     def __init__(self, base, radicand, key):
         self.base = base
@@ -327,15 +344,8 @@ class Scalar:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return (ONE / self) ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return binary_power(ONE / self, -n, ONE)
+        return binary_power(self, n, ONE)
 
     def inverse(self) -> "Scalar":
         return _inv(self)

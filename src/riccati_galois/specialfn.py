@@ -11,7 +11,8 @@ suite.
 from fractions import Fraction
 from itertools import permutations, product
 
-from .linalg import det, solve
+from .kovacic import _integer_lists, _monic_poly_solution
+from .linalg import det
 from .odeforms import ReducedODE, SecondOrderODE, transform_S
 from .poly import Poly
 from .ratfunc import RatFunc
@@ -481,7 +482,8 @@ class GenerationFailed(Exception):
 
 def orth_polynomial(row: OrthFamilyRow, n: int) -> Poly:
     """Monic degree-n solution of Q P'' + L P' + eigenvalue(n) P = 0,
-    found by an exact linear solve on the coefficients."""
+    found from the images of x^j by the solve of Kovacic's candidates
+    (kovacic._monic_poly_solution)."""
     if n < 0:
         raise ValueError("degree must be non-negative")
     lam = row.eigenvalue(n)
@@ -494,25 +496,11 @@ def orth_polynomial(row: OrthFamilyRow, n: int) -> Poly:
         )
 
     images = [operator(Poly.monomial(1, j)) for j in range(n + 1)]
-    width = max(img.degree() for img in images) + 1 if images else 1
-    width = max(width, 1)
-    rows_ = []
-    rhs = []
-    top = images[n]
-    for i in range(width):
-        rows_.append(
-            [
-                images[j].coeffs[i] if i <= images[j].degree() else Scalar.coerce(0)
-                for j in range(n)
-            ]
-        )
-        rhs.append(-(top.coeffs[i] if i <= top.degree() else Scalar.coerce(0)))
-    sol = solve(rows_, rhs)
-    if sol is None:
+    candidate = _monic_poly_solution(_integer_lists(*images)[1])
+    if candidate is None:
         raise GenerationFailed(
             "no monic degree-%d polynomial solves the equation" % n
         )
-    candidate = Poly(list(sol) + [Scalar.coerce(1)])
     if not operator(candidate).is_zero():
         raise GenerationFailed("linear solve produced a non-solution")
     return candidate

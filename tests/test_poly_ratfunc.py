@@ -3,9 +3,10 @@ from fractions import Fraction as F
 from math import gcd as igcd, isqrt
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from riccati_galois import cli, poly as poly_module, ratfunc as ratfunc_module
+from riccati_galois.bivar import BivarPoly
 from riccati_galois.linalg import (
     det,
     nullspace,
@@ -23,6 +24,7 @@ from riccati_galois.poly import (
     InexactDivision,
     Poly,
     _HEU_TRIES,
+    _add_product,
     _euclid_gcd,
     _heu_gcd,
     _integer_exact_div,
@@ -159,6 +161,55 @@ class TestPolyArithmetic:
         assert str(X**2 - X - 2) == "x^2 - x - 2"
         assert str(Poly([])) == "0"
         assert str(Poly([F(1, 2)])) == "1/2"
+
+
+# tower scalars a + b sqrt(2), zero among them
+surd_scalars = st.builds(
+    lambda a, b: a + b * SQRT2, small_fractions, small_fractions
+) | st.just(Scalar.coerce(0))
+
+
+class TestSharedKernel:
+    """The one list product loop and the one powering loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(surd_scalars, max_size=4),
+        st.lists(surd_scalars, max_size=4),
+        st.lists(surd_scalars, max_size=4),
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=0, max_value=3),
+    )
+    @example([], [], [SQRT2], 2, 1)
+    @example([SQRT2], [0, SQRT2, 0], [1 + SQRT2, 0], -3, 2)
+    def test_add_product_matches_double_loop(self, out, f, g, c, shift):
+        expect = list(out)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                k = i + j + shift
+                expect += [Scalar.coerce(0)] * (k + 1 - len(expect))
+                expect[k] = expect[k] + c * a * b
+        got = list(out)
+        _add_product(got, f, g, c, shift)
+        assert len(got) >= len(out)
+        assert keys(Poly(got)) == keys(Poly(expect))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
+    def test_power_matches_repeated_multiplication(self, n):
+        bases = [
+            (1 + SQRT2, Scalar.coerce(1)),
+            (Poly([F(1, 2), SQRT2, 3]), Poly([1])),
+            (BivarPoly([Poly([1, 2]), Poly([0, F(1, 3)]), 1]), BivarPoly([1])),
+        ]
+        for base, expect in bases:
+            for _ in range(n):
+                expect = expect * base
+            assert base**n == expect
+
+    def test_negative_scalar_power(self):
+        base = F(2, 3) - SQRT2
+        assert base**-3 == 1 / (base * base * base)
+        assert base**-1 * base == 1
 
 
 class TestPolyGcd:

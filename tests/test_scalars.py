@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from contextlib import contextmanager
 from fractions import Fraction as F
 from pathlib import Path
@@ -6,9 +8,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riccati_galois.kovacic import solve_rlde
+from riccati_galois.poly import Poly
+from riccati_galois.ratfunc import RatFunc
 from riccati_galois.scalars import (
     QQ,
     Scalar,
+    Tower,
     UnsupportedFieldError,
     ZERO,
     ONE,
@@ -340,3 +346,20 @@ def test_biquadratic_field_laws(x, y, z):
     root = square.sqrt()
     assert_canonical(root)
     assert root * root == square
+
+
+def test_registry_keeps_no_unused_tower():
+    # each solve splits x^2 - d over Q(sqrt d); once no value uses that
+    # tower, it is gone from the registry
+    before = set(Tower._registry)
+    roots = []
+    for d in (1009, 1013, 1019):
+        r = RatFunc(Poly([1]), Poly([-d, 0, 1]))
+        solve_rlde(r)
+        roots.append(r.poles()[0][0])
+    assert set(Tower._registry) - before == {s.tower.key for s in roots}
+    towers = [weakref.ref(s.tower) for s in roots]
+    del roots
+    gc.collect()
+    assert all(ref() is None for ref in towers)
+    assert set(Tower._registry) <= before
